@@ -36,7 +36,6 @@ from repro.cluster import ClusterServer, SupervisorConfig
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor
 from repro.image import random_blocks
-from repro.serving import local_extraction_config
 
 from conftest import print_section, write_report_file
 
@@ -55,7 +54,7 @@ def _chaos_config():
     return ExtractorConfig(
         image_width=160,
         image_height=120,
-        pyramid=PyramidConfig(num_levels=2, provider="shared"),
+        pyramid=PyramidConfig(num_levels=2),
         max_features=150,
     )
 
@@ -123,7 +122,7 @@ def test_chaos_recovery_quick():
     """CI chaos smoke: 2 workers, seeded kill storm, structured JSON report."""
     config = _chaos_config()
     images = _chaos_images(config)
-    extractor = OrbExtractor(local_extraction_config(config))
+    extractor = OrbExtractor(config)
     baseline_keys = [_feature_key(extractor.extract(image)) for image in images]
 
     _, clean_s, _, _, clean_stats = _serve_batch(config, images, plan=None)
@@ -165,7 +164,7 @@ def test_chaos_recovery_storm_sweep():
     """Storm every fault kind across seeds; correctness must hold throughout."""
     config = _chaos_config()
     images = _chaos_images(config)
-    extractor = OrbExtractor(local_extraction_config(config))
+    extractor = OrbExtractor(config)
     baseline_keys = [_feature_key(extractor.extract(image)) for image in images]
     _, clean_s, _, _, _ = _serve_batch(config, images, plan=None)
 
@@ -174,7 +173,7 @@ def test_chaos_recovery_storm_sweep():
         plan = FaultPlan.storm(
             frames=NUM_FRAMES,
             every=4,
-            kinds=("kill", "stall", "publish_fail"),
+            kinds=("kill", "stall"),
             num_workers=NUM_WORKERS,
             stall_s=0.2,
             seed=seed,

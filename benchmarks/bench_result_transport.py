@@ -1,7 +1,7 @@
 """Result transport: shared-memory ring vs pickled results on the queue.
 
-The cluster's inbound hops are zero-copy (frame ring, shared pyramid
-cache); this report measures the *return* hop.  In ``pickle`` mode every
+The cluster's inbound hop is the shared-memory frame ring; this report
+measures the *return* hop.  In ``pickle`` mode every
 :class:`~repro.features.ExtractionResult` is serialized through the worker's
 ``multiprocessing`` result queue; in ``ring`` mode (the default) workers
 pack the result's flat arrays into a
@@ -43,7 +43,7 @@ def transport_config():
     return ExtractorConfig(
         image_width=160,
         image_height=120,
-        pyramid=PyramidConfig(num_levels=2, provider="shared"),
+        pyramid=PyramidConfig(num_levels=2),
         max_features=150,
     )
 

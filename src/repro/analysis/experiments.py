@@ -315,24 +315,14 @@ class BatchRunner:
     rule: it shards whole sequences across worker *processes*, each building
     its own identical engine, so sweeps scale past the GIL (see
     ``docs/serving.md``).
-
-    ``pyramid_cache`` optionally injects an attached
-    :class:`repro.pyramid.SharedPyramidCache` into the engine: N runners
-    replaying the same sequence (the N-engine comparison pattern) then share
-    each frame's pyramid through one cache — the stable per-frame ids
-    emitted by :meth:`repro.slam.SlamSystem.run` make every runner attach
-    to the same cached entry instead of building its own.
     """
 
     config: SlamConfig = field(default_factory=SlamConfig)
     max_frames: Optional[int] = None
     records: List[BatchRunRecord] = field(default_factory=list)
-    pyramid_cache: Optional[object] = None
 
     def __post_init__(self) -> None:
-        self.extractor = OrbExtractor(
-            self.config.extractor, pyramid_cache=self.pyramid_cache
-        )
+        self.extractor = OrbExtractor(self.config.extractor)
 
     def _build_record(
         self,

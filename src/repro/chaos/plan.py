@@ -8,15 +8,13 @@ killed every 8th frame, seeded at 7" and replay exactly that storm on
 every run, instead of poking workers from an unsynchronised timer thread
 whose interleaving never reproduces.
 
-Four fault kinds cover the failure surfaces of
+Three fault kinds cover the failure surfaces of
 :class:`~repro.cluster.ClusterServer`:
 
 * ``kill`` — SIGKILL one worker (→ crash handling: requeue/retry under
   supervision, structured failure without);
 * ``stall`` — SIGSTOP one worker for ``duration_s`` (→ heartbeat stall
   detection; the supervisor kills and respawns it);
-* ``publish_fail`` — force the next shared-pyramid publish to report
-  failure (→ the zero-copy fast path falls back to the ring transport);
 * ``slow_frame`` — sleep ``duration_s`` in the producer before the
   submission (→ load-pattern shaping for elasticity tests).
 
@@ -40,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import ReproError
 
 #: Fault kinds a plan may schedule.
-FAULT_KINDS = ("kill", "stall", "publish_fail", "slow_frame")
+FAULT_KINDS = ("kill", "stall", "slow_frame")
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,7 @@ class FaultPlan:
 
     Pass a plan to :class:`~repro.cluster.ClusterServer` via its
     ``fault_plan`` parameter; the server calls :meth:`on_submit` with every
-    job id and consumes :meth:`take_publish_failure` before each
-    shared-pyramid publish.  Instances are single-use: each event fires at
+    job id.  Instances are single-use: each event fires at
     most once, and :attr:`fired` accumulates what actually happened for
     the post-run report.
     """
@@ -107,7 +104,6 @@ class FaultPlan:
         for event in self.events:
             self._by_submit.setdefault(event.at_submit, []).append(event)
         self.fired: List[FiredFault] = []
-        self._armed_publish_failures = 0
         self._lock = threading.Lock()
 
     @classmethod
@@ -154,14 +150,6 @@ class FaultPlan:
         for event in events:
             self._fire(server, event)
 
-    def take_publish_failure(self) -> bool:
-        """Consume one armed publish failure (the server's publish gate)."""
-        with self._lock:
-            if self._armed_publish_failures > 0:
-                self._armed_publish_failures -= 1
-                return True
-            return False
-
     def _fire(self, server, event: FaultEvent) -> None:
         # Stamp the plan's seed into the server's event journal before the
         # fault's consequences land, so every reaction row (worker_dead,
@@ -174,9 +162,6 @@ class FaultPlan:
             target = server.chaos_kill(event.worker_id)
         elif event.kind == "stall":
             target = server.chaos_stall(event.worker_id, duration_s=event.duration_s)
-        elif event.kind == "publish_fail":
-            with self._lock:
-                self._armed_publish_failures += 1
         elif event.kind == "slow_frame":
             time.sleep(event.duration_s)
         if journal is not None:

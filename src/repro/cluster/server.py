@@ -44,21 +44,18 @@ at routing time).  A **dispatcher thread** hands each worker at most
 :data:`DISPATCH_DEPTH` jobs at a time and keeps the rest in per-worker
 backlogs; with ``work_stealing=True`` an idle worker drains a saturated
 worker's backlog.  Stealing and crash requeueing move *where* a job runs,
-never *what* it computes: the job's future, cache key and pixels are
+never *what* it computes: the job's future, frame key and pixels are
 untouched, so results stay bit-identical and in submission order.
 
-Frame transport is chosen per frame: when the configuration selects the
-``shared`` pyramid provider, the producer publishes the frame's whole
-pyramid (level 0 included) into a
-:class:`~repro.pyramid.SharedPyramidCache`, pins the slot, and hands the
-worker only the job id — the **zero-copy fast path**; the ring write is
-skipped entirely and only happens as a fallback when the publish fails
-(cache full).  A requeued zero-copy job needs no republish: the producer
-pin outlives the crash, so the replacement worker attaches the same slot,
-and the dead consumer's leaked lease is voided by a forced retire when the
-job finally completes (``docs/pyramid.md``).  Per-worker and aggregate
-counters — including restarts, retries, requeues, sheds, pool changes and
-the ``leaked_slots`` audit — live in :class:`ClusterStats`.
+Every frame travels the same way: the producer copies its pixels into one
+slot of the :class:`~repro.cluster.shared_ring.SharedFrameRing` and hands
+the worker a control message naming the slot; the worker builds the
+frame's pyramid itself, exactly as sequential extraction does.  The slot
+is held until the frame's result (or failure) is collected, so a requeued
+job after a crash reads the same pixels from the same slot.  Per-worker
+and aggregate counters — including restarts, retries, requeues, sheds,
+pool changes and the ``leaked_slots`` audit — live in
+:class:`ClusterStats`.
 
 Failure semantics (supervision, elasticity, shedding, deadline rules) are
 documented in ``docs/serving.md``.
@@ -81,11 +78,7 @@ from ..config import ExtractorConfig
 from ..errors import JobAttempt, JobFailed, ReproError
 from ..features import ExtractionResult
 from ..image import GrayImage
-from ..pyramid import SharedPyramidCache
-from ..serving.frame_server import (
-    LATENCY_WINDOW,
-    local_extraction_config,
-)
+from ..serving.frame_server import LATENCY_WINDOW
 from ..serving.resultpack import max_packed_nbytes, unpack_result
 from ..telemetry import (
     ActivityWindow,
@@ -307,16 +300,13 @@ class ClusterStats:
     Field names match :class:`repro.serving.ServingStats` where the concept
     matches, so thread-server and cluster reports line up column for column.
     On top of those, the routing/transport counters make the fast paths
-    observable: ``steals`` (jobs moved off a saturated worker's backlog),
-    ``frames_zero_copy`` / ``frames_via_ring`` (which transport carried
-    each frame), ``ring_bytes_copied`` (producer-side memcpy volume; zero
-    for zero-copy frames) and ``publish_fallbacks`` (shared-pyramid
-    publishes that failed and fell back to the ring).  The return path has
-    its own trio: ``results_zero_copy`` (results collected as packed
-    arrays from the shared result ring), ``results_via_pickle`` (results
-    that rode the queue — no ring configured, range exhausted, or
-    oversized) and ``result_bytes_saved`` (packed bytes that skipped the
-    pickle pipe entirely).
+    observable: ``steals`` (jobs moved off a saturated worker's backlog)
+    and ``ring_bytes_copied`` (producer-side memcpy volume into the frame
+    ring).  The return path has its own trio: ``results_zero_copy``
+    (results collected as packed arrays from the shared result ring),
+    ``results_via_pickle`` (results that rode the queue — no ring
+    configured, range exhausted, or oversized) and ``result_bytes_saved``
+    (packed bytes that skipped the pickle pipe entirely).
 
     The robustness counters make failure handling observable:
     ``restarts`` (supervised worker respawns), ``requeued`` (jobs moved
@@ -335,9 +325,6 @@ class ClusterStats:
         "frames_completed": "cluster_frames_completed_total",
         "frames_failed": "cluster_frames_failed_total",
         "steals": "cluster_steals_total",
-        "publish_fallbacks": "cluster_publish_fallbacks_total",
-        "frames_zero_copy": "cluster_frames_zero_copy_total",
-        "frames_via_ring": "cluster_frames_via_ring_total",
         "ring_bytes_copied": "cluster_ring_bytes_copied_total",
         "results_zero_copy": "cluster_results_zero_copy_total",
         "results_via_pickle": "cluster_results_via_pickle_total",
@@ -450,16 +437,10 @@ class ClusterStats:
             self.workers[victim_id].queue_depth -= 1
             self.workers[thief_id].queue_depth += 1
 
-    def _transport(self, zero_copy: bool, bytes_copied: int, fallback: bool) -> None:
-        """Record which transport carried one frame and its copy volume."""
+    def _ring_copied(self, bytes_copied: int) -> None:
+        """Record one frame's memcpy volume into the frame ring."""
         with self._lock:
-            if zero_copy:
-                self._counters["frames_zero_copy"].inc()
-            else:
-                self._counters["frames_via_ring"].inc()
-                self._counters["ring_bytes_copied"].inc(bytes_copied)
-            if fallback:
-                self._counters["publish_fallbacks"].inc()
+            self._counters["ring_bytes_copied"].inc(bytes_copied)
 
     def _result_transport(self, zero_copy: bool, packed_nbytes: int) -> None:
         """Record which transport carried one collected result."""
@@ -597,9 +578,6 @@ class ClusterStats:
             "max_in_flight": self.max_in_flight,
             "queue_depth": self.queue_depth,
             "steals": self.steals,
-            "publish_fallbacks": self.publish_fallbacks,
-            "frames_zero_copy": self.frames_zero_copy,
-            "frames_via_ring": self.frames_via_ring,
             "ring_bytes_copied": self.ring_bytes_copied,
             "results_zero_copy": self.results_zero_copy,
             "results_via_pickle": self.results_via_pickle,
@@ -625,9 +603,8 @@ class ClusterStats:
 class _PendingJob:
     future: "Future[ExtractionResult]"
     worker_id: int  # current owner: backlog shard, or executor once dispatched
-    slot: Optional[int]  # ring slot (None on the zero-copy fast path)
-    key: int  # pyramid-cache key (frame id, or job id when none supplied)
-    pin_slot: Optional[int]  # producer pin on the cached pyramid slot
+    slot: int  # frame-ring slot holding the pixels
+    key: int  # trace/journal key (frame id, or job id when none supplied)
     height: int = 0  # frame shape, kept so a requeue can rebuild the message
     width: int = 0
     submitted_s: float = 0.0  # perf_counter at submit (attempt elapsed base)
@@ -715,13 +692,13 @@ class ClusterServer:
         now (in-flight window full, or no alive worker): ``"block"``
         (default — wait, the thread-server semantics), ``"fail_fast"``
         (raise :class:`~repro.errors.JobFailed` immediately) or
-        ``"degrade_to_local"`` (extract in-process with a local-provider
-        twin of the same configuration — bit-identical, slower, counted
-        in ``ClusterStats.shed``).
+        ``"degrade_to_local"`` (extract in-process with the same
+        configuration — bit-identical, slower, counted in
+        ``ClusterStats.shed``).
     fault_plan:
         A :class:`repro.chaos.FaultPlan` whose scheduled faults (worker
-        kills/stalls, publish failures, slow frames) fire synchronously
-        inside ``submit`` — the chaos-test entry point.
+        kills/stalls, slow frames) fire synchronously inside ``submit`` —
+        the chaos-test entry point.
     result_transport:
         ``"ring"`` (default) packs results into a
         :class:`~repro.cluster.result_ring.SharedResultRing` so the result
@@ -734,14 +711,6 @@ class ClusterServer:
         always flushes when the worker's job queue runs dry, so larger
         batches trade pipe syscalls against nothing but saturated-phase
         latency.
-    pyramid_retention_s:
-        With the ``shared`` pyramid provider, keep each frame's published
-        pyramid attachable for this many seconds after its result is
-        collected instead of reclaiming the slot immediately
-        (session-scoped TTL, ``docs/pyramid.md``).  Sequential replays
-        over the same stable frame ids then reuse the cached pyramids
-        (``pyramid_cache_stats()["retained_hits"]``).  Ignored for other
-        providers.
     registry:
         A :class:`~repro.telemetry.MetricsRegistry` to expose every
         ``cluster_*`` metric through (one is created when omitted;
@@ -757,7 +726,7 @@ class ClusterServer:
     journal:
         An :class:`~repro.telemetry.EventJournal` receiving every
         supervision/routing event (restarts, steals, sheds, requeues,
-        pool changes, fallbacks, leak reclaims) — always on; one is
+        pool changes, leak reclaims) — always on; one is
         created when omitted.
     """
 
@@ -775,15 +744,12 @@ class ClusterServer:
         fault_plan=None,
         result_transport: str = "ring",
         result_batch: int = DEFAULT_RESULT_BATCH,
-        pyramid_retention_s: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         if num_workers <= 0:
             raise ReproError("num_workers must be positive")
-        if pyramid_retention_s is not None and pyramid_retention_s <= 0.0:
-            raise ReproError("pyramid_retention_s must be positive")
         if result_transport not in ("ring", "pickle"):
             raise ReproError(
                 f"result_transport must be 'ring' or 'pickle', not "
@@ -814,30 +780,15 @@ class ClusterServer:
         self._context = get_mp_context(start_method)
         self._slot_bytes = self.config.image_height * self.config.image_width
         self._ring = SharedFrameRing(self.max_in_flight, self._slot_bytes)
-        # shared pyramid provider: the producer builds each frame's pyramid
-        # once into a shared-memory cache and pins the slot; workers attach
-        # zero-copy by cache key and the ring is only the publish-failure
-        # fallback (docs/pyramid.md)
-        self._pyramid_cache = (
-            SharedPyramidCache.create(
-                self.config,
-                num_slots=self.max_in_flight,
-                context=self._context,
-                retention_s=pyramid_retention_s,
-            )
-            if self.config.pyramid.provider == "shared"
-            else None
-        )
-        self._pyramid_handle = (
-            self._pyramid_cache.handle() if self._pyramid_cache is not None else None
-        )
         capacity = num_workers
         if elasticity is not None:
             capacity = max(capacity, elasticity.max_workers)
-        # heartbeat board: one monotonic timestamp per worker slot, written
-        # by the worker between jobs, read by the supervisor's stall check;
-        # torn double reads are tolerable (the check is a heuristic and a
-        # false kill only costs a retry, never a wrong result)
+        # heartbeat board: one monotonic timestamp per worker slot, stamped
+        # by the server at every spawn and by the worker between jobs, read
+        # by the supervisor's stall check — so a worker wedged before its
+        # first beat ages out like any other stall; torn double reads are
+        # tolerable (the check is a heuristic and a false kill only costs a
+        # retry, never a wrong result)
         self._heartbeats = self._context.Array("d", capacity, lock=False)
         self._worker_capacity = capacity
         # result ring: one slot range per worker slot (elastic capacity
@@ -882,8 +833,6 @@ class ClusterServer:
                 help="result-ring slots currently claimed",
                 fn=_safe_metric_read(lambda: self._result_ring.in_use()),
             )
-        if self._pyramid_cache is not None:
-            self._pyramid_cache.register_metrics(self.registry)
         # one job queue AND one result queue per worker: multiprocessing
         # queues guard their pipe ends with cross-process locks, and a
         # worker SIGKILLed mid-put would leave a *shared* result queue's
@@ -897,10 +846,6 @@ class ClusterServer:
         self._retired_result_queues: List = []
         self._processes: List = []
         self._pending: Dict[int, _PendingJob] = {}
-        self._key_pending: Dict[int, int] = {}  # cache key -> in-flight jobs
-        # keys a dead worker may have touched: their cache entries are
-        # force-retired at final release to void leaked consumer leases
-        self._crashed_keys: set = set()
         self._lock = threading.Lock()
         self._next_job_id = 0
         self._closed = False
@@ -943,8 +888,6 @@ class ClusterServer:
             self._ring.close()
             if self._result_ring is not None:
                 self._result_ring.close()
-            if self._pyramid_cache is not None:
-                self._pyramid_cache.close()
             raise
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="cluster-dispatcher", daemon=True
@@ -960,7 +903,14 @@ class ClusterServer:
             self._supervisor.start()
 
     def _start_worker_process(self, worker_id: int, job_queue, result_queue):
-        """Spawn one worker process over its queue pair and return it started."""
+        """Spawn one worker process over its queue pair and return it started.
+
+        The worker's heartbeat slot is stamped with the spawn time first, so
+        the supervisor's stall clock starts at spawn: a worker that wedges
+        before its first ``beat()`` is reaped after ``heartbeat_timeout_s``
+        like any other stalled worker.
+        """
+        self._heartbeats[worker_id] = time.monotonic()
         process = self._context.Process(
             target=worker_main,
             args=(
@@ -970,7 +920,6 @@ class ClusterServer:
                 self._slot_bytes,
                 job_queue,
                 result_queue,
-                self._pyramid_handle,
                 self._heartbeats,
                 self._result_ring_handle,
                 self.result_batch,
@@ -991,19 +940,6 @@ class ClusterServer:
     def sequence_handle(self, shard_key: int) -> _SequenceShard:
         """Frame-serving view pinned to ``shard_key`` (``by_sequence`` use)."""
         return _SequenceShard(self, shard_key)
-
-    def pyramid_cache_stats(self) -> Optional[Dict[str, object]]:
-        """Aggregate shared-pyramid-cache counters (``None`` unless the
-        configuration selects the ``shared`` pyramid provider).  The cache's
-        own hit/miss/publish counters are joined with the server-side fast
-        path counters, so one report tells the whole zero-copy story."""
-        if self._pyramid_cache is None:
-            return None
-        report = self._pyramid_cache.stats()
-        report["publish_fallbacks"] = self.stats.publish_fallbacks
-        report["zero_copy_frames"] = self.stats.frames_zero_copy
-        report["ring_fallback_frames"] = self.stats.frames_via_ring
-        return report
 
     def trace(self) -> Trace:
         """The merged cross-process trace of this server's run so far.
@@ -1037,11 +973,10 @@ class ClusterServer:
 
         Returns a future resolving to the same
         :class:`~repro.features.ExtractionResult` sequential extraction
-        would produce.  ``frame_id`` keys pyramid reuse: submissions of the
-        same frame under the same id (multi-engine comparisons, replays)
-        share one published pyramid instead of building per submission.
-        ``deadline_s`` optionally bounds the frame's total serving budget;
-        a supervised cluster fails the job with
+        would produce.  ``frame_id`` is the frame's trace and journal
+        correlation key (the job id is used when it is omitted); it never
+        changes the result.  ``deadline_s`` optionally bounds the frame's
+        total serving budget; a supervised cluster fails the job with
         :class:`~repro.errors.JobFailed` (attempt history attached) instead
         of retrying it past the budget.  With ``on_overload`` set to
         ``"fail_fast"`` or ``"degrade_to_local"`` an overloaded cluster
@@ -1069,7 +1004,6 @@ class ClusterServer:
         elif not self._try_acquire_admission():
             return self._shed_submission(image, "cluster saturated")
         slot: Optional[int] = None
-        pin_slot: Optional[int] = None
         registered = False
         worker_id = 0
         try:
@@ -1083,50 +1017,25 @@ class ClusterServer:
                 self._release_admission()
                 return self._shed_submission(image, "no alive worker (rebuilding)")
             future: "Future[ExtractionResult]" = Future()
-            zero_copy = fallback = False
-            if self._pyramid_cache is not None:
-                # zero-copy fast path: publish the whole pyramid (level 0
-                # included) and pin the slot so it can neither be evicted
-                # nor reclaimed before the worker attaches; on success the
-                # ring write is skipped entirely
-                forced_miss = (
-                    self.fault_plan is not None
-                    and self.fault_plan.take_publish_failure()
-                )
-                with self.tracer.span("publish_pyramid", frame=key):
-                    if not forced_miss and self._pyramid_cache.publish(
-                        key, image.pixels
-                    ):
-                        pin_slot = self._pyramid_cache.pin(key)
-                zero_copy = pin_slot is not None
-                fallback = not zero_copy
-                if fallback:
+            with self.tracer.span("ring_write", frame=key):
+                slot = self._ring.acquire(timeout=_RING_ACQUIRE_TIMEOUT_S)
+                if slot is None:
+                    self.stats._leaked(1)
                     self.journal.log(
-                        "publish_fallback", job=job_id, key=key, forced=forced_miss
+                        "leak_reclaim",
+                        job=job_id,
+                        reason="frame ring exhausted inside admission window",
                     )
-            if zero_copy:
-                height, width = image.pixels.shape
-            else:
-                with self.tracer.span("ring_write", frame=key):
-                    slot = self._ring.acquire(timeout=_RING_ACQUIRE_TIMEOUT_S)
-                    if slot is None:
-                        self.stats._leaked(1)
-                        self.journal.log(
-                            "leak_reclaim",
-                            job=job_id,
-                            reason="frame ring exhausted inside admission window",
-                        )
-                        raise ReproError(
-                            "no free frame ring slot inside the admission window "
-                            "(slot leak?)"
-                        )
-                    height, width = self._ring.write(slot, image.pixels)
+                    raise ReproError(
+                        "no free frame ring slot inside the admission window "
+                        "(slot leak?)"
+                    )
+                height, width = self._ring.write(slot, image.pixels)
             job = _PendingJob(
                 future,
                 worker_id,
                 slot,
                 key,
-                pin_slot,
                 height=height,
                 width=width,
                 submitted_s=submitted_s,
@@ -1143,22 +1052,13 @@ class ClusterServer:
                         target = self._fallback_target_locked(target)
                     job.worker_id = target
                     self._pending[job_id] = job
-                    self._key_pending[key] = self._key_pending.get(key, 0) + 1
                     registered = True
                 worker_id = target
                 self.stats._submitted(target)
-                self.stats._transport(
-                    zero_copy, 0 if zero_copy else height * width, fallback
-                )
+                self.stats._ring_copied(height * width)
                 self._backlogs[target].append(job.message(job_id))
                 self._dispatch_cv.notify_all()
-            self.tracer.complete(
-                "submit",
-                submitted_s,
-                frame=key,
-                worker=worker_id,
-                transport="zero_copy" if zero_copy else "ring",
-            )
+            self.tracer.complete("submit", submitted_s, frame=key, worker=worker_id)
             return future
         except BaseException:
             if registered:
@@ -1166,19 +1066,9 @@ class ClusterServer:
                     job = self._pending.pop(job_id, None)
                 if job is not None:
                     self.stats._abandoned(worker_id)
-                    self._release_job_resources(job, crashed=True)
-            else:
-                if slot is not None:
-                    self._ring.release(slot)
-                if pin_slot is not None:
-                    self._pyramid_cache.unpin(pin_slot)
-                if self._pyramid_cache is not None:
-                    with self._lock:
-                        key_in_use = self._key_pending.get(key, 0)
-                    if key_in_use == 0:
-                        # the pyramid may already be published for a job that
-                        # will never run; free its cache slot too
-                        self._pyramid_cache.retire(key, force=True)
+                    self._ring.release(job.slot)
+            elif slot is not None:
+                self._ring.release(slot)
             self._release_admission()
             raise
 
@@ -1245,8 +1135,8 @@ class ClusterServer:
         attempt = JobAttempt(worker_id=-1, reason=f"shed: {reason}", elapsed_s=0.0)
         if self.on_overload == "fail_fast":
             raise JobFailed(f"submission shed: {reason}", (attempt,))
-        # degrade_to_local: same configuration, local pyramid provider, so
-        # the result is bit-identical to what a worker would have produced
+        # degrade_to_local: same configuration, so the result is
+        # bit-identical to what a worker would have produced
         future: "Future[ExtractionResult]" = Future()
         try:
             future.set_result(self._extract_locally(image))
@@ -1259,9 +1149,7 @@ class ClusterServer:
             if self._local_extractor is None:
                 from ..features import OrbExtractor
 
-                self._local_extractor = OrbExtractor(
-                    local_extraction_config(self.config)
-                )
+                self._local_extractor = OrbExtractor(self.config)
             return self._local_extractor.extract(image)
 
     def extract_many(
@@ -1274,10 +1162,10 @@ class ClusterServer:
 
         ``shard_keys`` optionally supplies one affinity key per image
         (required by the ``by_sequence`` policy); ``frame_ids`` optionally
-        supplies stable pyramid-cache keys.  Submission interleaves with
-        completion through the bounded in-flight window, and the returned
-        list is reassembled in order regardless of which worker finished
-        first.
+        supplies the trace/journal correlation key of each frame.
+        Submission interleaves with completion through the bounded
+        in-flight window, and the returned list is reassembled in order
+        regardless of which worker finished first.
         """
         futures = []
         for index, image in enumerate(images):
@@ -1448,7 +1336,7 @@ class ClusterServer:
                 del self._pending[job_id]
                 failed_job = job
         self.stats._failed(failed_job.worker_id)
-        self._release_job_resources(failed_job, crashed=True)
+        self._ring.release(failed_job.slot)
         self._release_admission()
         failed_job.future.set_exception(
             ReproError(f"cluster worker {worker_id} queue rejected the frame")
@@ -1561,7 +1449,7 @@ class ClusterServer:
                     result = payload
                     self.stats._result_transport(False, 0)
                 self.stats._completed(job.worker_id, latency_s)
-                self._release_job_resources(job)
+                self._ring.release(job.slot)
                 self._release_admission()
                 job.future.set_result(result)
                 if self.tracer.enabled:
@@ -1575,39 +1463,13 @@ class ClusterServer:
                     self.tracer.instant("resolve", frame=job.key)
             else:
                 self.stats._failed(job.worker_id)
-                self._release_job_resources(job)
+                self._ring.release(job.slot)
                 self._release_admission()
                 job.future.set_exception(
                     ReproError(
                         f"cluster worker {worker_id} extraction failed: {error}"
                     )
                 )
-
-    def _release_job_resources(self, job: _PendingJob, crashed: bool = False) -> None:
-        """Free a collected job's transport resources.
-
-        A collected result proves the worker is done with the shared pages:
-        the ring slot (if the frame travelled by ring) returns to the pool,
-        the producer's pin on the cached pyramid is released, and the cache
-        entry is retired once no other in-flight job shares its key.
-        ``crashed`` (or a key touched by a dead worker — ``_crashed_keys``)
-        forces the retire, voiding consumer leases a dead process can never
-        return, so crash paths reclaim every slot they leased.
-        """
-        if job.slot is not None:
-            self._ring.release(job.slot)
-        if self._pyramid_cache is not None and job.pin_slot is not None:
-            self._pyramid_cache.unpin(job.pin_slot)
-        with self._lock:
-            remaining = self._key_pending.get(job.key, 1) - 1
-            if remaining <= 0:
-                self._key_pending.pop(job.key, None)
-                force = crashed or job.key in self._crashed_keys
-                self._crashed_keys.discard(job.key)
-            else:
-                self._key_pending[job.key] = remaining
-        if remaining <= 0 and self._pyramid_cache is not None:
-            self._pyramid_cache.retire(job.key, force=force)
 
     def _check_worker_health(self) -> None:
         for worker_id, process in enumerate(list(self._processes)):
@@ -1668,11 +1530,10 @@ class ClusterServer:
                 self._backlogs[worker_id].clear()
                 self._dispatched[worker_id] = 0
                 if self._result_ring is not None:
-                    # force-reclaim the dead range (mirrors pyramid leak
-                    # handling): the drain above proved no descriptor into
-                    # it survives, and a respawn cannot begin before this
-                    # block publishes the DEAD state, so the reclaim can
-                    # never race a replacement worker's claims
+                    # force-reclaim the dead range: the drain above proved no
+                    # descriptor into it survives, and a respawn cannot begin
+                    # before this block publishes the DEAD state, so the
+                    # reclaim can never race a replacement worker's claims
                     self._result_ring.reclaim_range(worker_id)
                 for job_id, job in doomed:
                     if not supervised:
@@ -1722,7 +1583,6 @@ class ClusterServer:
                     job.dispatched = False
                     self._pending[job_id] = job
                     self._backlogs[target].appendleft(job.message(job_id))
-                    self._crashed_keys.add(job.key)
                     self.stats._requeued(worker_id, target, retried=was_dispatched)
                     requeued += 1
             self._dispatch_cv.notify_all()
@@ -1738,7 +1598,7 @@ class ClusterServer:
             self.journal.log("requeue", worker_id=worker_id, jobs=requeued)
         for job, error in failures:
             self.stats._failed(worker_id)
-            self._release_job_resources(job, crashed=True)
+            self._ring.release(job.slot)
             self._release_admission()
             job.future.set_exception(error)
         with self._admission:
@@ -1878,7 +1738,6 @@ class ClusterServer:
             return False  # still exiting; next tick
         new_queue = self._context.Queue()
         new_result_queue = self._context.Queue()
-        self._heartbeats[worker_id] = 0.0
         try:
             process = self._start_worker_process(
                 worker_id, new_queue, new_result_queue
@@ -1976,7 +1835,7 @@ class ClusterServer:
         )
         for job, error in failures:
             self.stats._failed(worker_id)
-            self._release_job_resources(job, crashed=True)
+            self._ring.release(job.slot)
             self._release_admission()
             job.future.set_exception(error)
         with self._admission:
@@ -2016,7 +1875,7 @@ class ClusterServer:
             )
             self.journal.log("expired", worker_id=job.worker_id, job=job_id)
             self.stats._failed(job.worker_id)
-            self._release_job_resources(job)
+            self._ring.release(job.slot)
             self._release_admission()
             job.future.set_exception(
                 JobFailed(
@@ -2044,7 +1903,6 @@ class ClusterServer:
                 slot_id = len(self.stats.workers)
         queue = self._context.Queue()
         result_queue = self._context.Queue()
-        self._heartbeats[slot_id] = 0.0
         try:
             process = self._start_worker_process(slot_id, queue, result_queue)
         except Exception:
@@ -2117,8 +1975,8 @@ class ClusterServer:
 
         Idempotent and crash-safe: a second call returns immediately, a
         worker that died mid-drain neither hangs the drain nor races the
-        shared-memory unlink (every process is joined before the ring and
-        cache are released), and any transport slot a crash left leased is
+        shared-memory unlink (every process is joined before the rings are
+        released), and any transport slot a crash left leased is
         force-reclaimed and counted in ``ClusterStats.leaked_slots``.
         """
         with self._close_lock:
@@ -2164,7 +2022,7 @@ class ClusterServer:
             self._pending.clear()
         for job_id, job in leftovers:
             self.stats._failed(job.worker_id)
-            self._release_job_resources(job, crashed=True)
+            self._ring.release(job.slot)
             self._release_admission()
             job.future.set_exception(
                 ReproError("ClusterServer closed before the frame was served")
@@ -2191,8 +2049,6 @@ class ClusterServer:
         # anything still leased was leaked by a crash path — reclaim it
         # and make it visible before the shared memory goes away
         leaked = self._ring.in_flight()
-        if self._pyramid_cache is not None:
-            leaked += self._pyramid_cache.reclaim_leaked()
         if self._result_ring is not None:
             # every crash already reclaimed its range synchronously, so a
             # slot still claimed here lost its descriptor without a crash
@@ -2204,8 +2060,6 @@ class ClusterServer:
         self._ring.close()
         if self._result_ring is not None:
             self._result_ring.close()
-        if self._pyramid_cache is not None:
-            self._pyramid_cache.close()
 
     def __enter__(self) -> "ClusterServer":
         return self

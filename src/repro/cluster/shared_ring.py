@@ -18,10 +18,8 @@ reference the input pixels).  The free pool is guarded by a condition
 variable, so a producer parked on a full ring wakes the moment a slot is
 released (microseconds), not on the next poll tick.
 
-When the cluster's ``shared`` pyramid provider is active the ring is only
-the **fallback** transport: frames whose pyramid publish succeeds travel as
-a bare job id and the ring slot (and its memcpy) is skipped entirely — see
-``docs/pyramid.md`` for the zero-copy data flow.
+The ring is the cluster's only inbound transport: every frame takes one
+slot, and the worker builds the frame's pyramid from its view of it.
 """
 
 from __future__ import annotations

@@ -193,9 +193,9 @@ class Supervisor:
                 continue
             if self._server._dispatched_count(worker_id) <= 0:
                 continue  # an idle worker parked on its queue cannot stall
+            # the server stamps the spawn time into the slot, so a worker
+            # wedged before its first beat ages out here like any stall
             beat = self._server._last_heartbeat(worker_id)
-            if beat <= 0.0:
-                continue  # not booted yet; spin-up is covered by exit codes
             if now - beat > self.supervision.heartbeat_timeout_s:
                 self._server._kill_stalled_worker(
                     worker_id, stalled_for_s=now - beat

@@ -5,21 +5,11 @@ extraction pipeline of the paper's accelerator — built inside the worker
 process from the pickled :class:`~repro.config.ExtractorConfig`, so engines
 in different workers share nothing and the GIL of one process never stalls
 another.  Frames arrive as ``(job_id, key, slot, height, width)`` control
-messages; ``key`` is the frame's pyramid-cache key (the caller-supplied
-frame id, or the job id when none was given).
-
-Two transports feed a worker, decided per frame by the producer:
-
-* **ring transport** (``slot`` is an index) — pixels are read through a
-  zero-copy view of the shared-memory ring
-  (:mod:`repro.cluster.shared_ring`); the only transport when the pyramid
-  provider is local, the fallback when a shared-cache publish fails;
-* **zero-copy fast path** (``slot`` is ``None``) — the producer already
-  published the frame's whole pyramid (level 0 included) into the
-  :class:`~repro.pyramid.SharedPyramidCache` and pinned it, so the worker
-  attaches the cached pyramid by ``key`` and extracts straight from the
-  shared pages — **no frame bytes were copied into the ring at all**
-  (``docs/pyramid.md``).
+messages; ``key`` labels the frame's trace spans (the caller-supplied frame
+id, or the job id when none was given).  The pixels are read through a
+zero-copy view of the shared-memory frame ring
+(:mod:`repro.cluster.shared_ring`), and the worker's extractor builds the
+frame's pyramid from that view exactly as sequential extraction does.
 
 Results leave the worker through two transports, decided per result:
 
@@ -78,7 +68,6 @@ def worker_main(
     slot_bytes: int,
     job_queue,
     result_queue,
-    pyramid_handle=None,
     heartbeat=None,
     result_ring_handle=None,
     result_batch: int = DEFAULT_RESULT_BATCH,
@@ -99,15 +88,16 @@ def worker_main(
     (:meth:`repro.telemetry.Trace.add_worker_spans`).  Because spans ride
     the *result queue*, a crashed worker's already-flushed spans survive:
     the server drains the dead queue before reclaiming anything.
-    Neither the frame ring slot nor the cache pin is echoed back: the
-    server tracks both per job and frees them when the result (or failure)
-    is collected, which guarantees the worker has finished reading the
-    shared pages before they are reused.
+    The frame ring slot is not echoed back: the server tracks it per job
+    and frees it when the result (or failure) is collected, which
+    guarantees the worker has finished reading the shared pages before
+    they are reused.
 
     ``heartbeat`` is an optional shared double array indexed by worker id;
-    the worker stamps ``time.monotonic()`` into its slot between jobs so
-    the supervisor's stall detector can tell a long extraction (beats
-    between frames) from a wedged process (no beats at all).
+    the server stamps the spawn time into the worker's slot and the worker
+    stamps ``time.monotonic()`` into it between jobs, so the supervisor's
+    stall detector can tell a long extraction (beats between frames) from
+    a wedged process (no beats at all, even before the first job).
     """
     # A Ctrl-C in an interactive parent delivers SIGINT to the whole
     # process group; the parent's close() handles the shutdown, so workers
@@ -119,7 +109,6 @@ def worker_main(
     from ..errors import ReproError
     from ..features import OrbExtractor
     from ..image import GrayImage
-    from ..pyramid import SharedPyramidCache
     from ..serving.resultpack import pack_into
     from ..telemetry import Tracer, set_tracer
     from .result_ring import RingSlotRef, SharedResultRing
@@ -135,11 +124,6 @@ def worker_main(
     # worker shares with the server process; that is a set-membership no-op,
     # and the server's unlink() is the single cleanup point.
     shm = shared_memory.SharedMemory(name=ring_name)
-    pyramid_cache = (
-        SharedPyramidCache.attach_handle(pyramid_handle)
-        if pyramid_handle is not None
-        else None
-    )
     result_ring = (
         SharedResultRing.attach(result_ring_handle)
         if result_ring_handle is not None
@@ -193,7 +177,7 @@ def worker_main(
                 beat()
 
     try:
-        extractor = OrbExtractor(config, pyramid_cache=pyramid_cache)
+        extractor = OrbExtractor(config)
         beat()
         while True:
             try:
@@ -221,33 +205,10 @@ def worker_main(
             job_id, key, slot, height, width = message
             start = time.perf_counter()
             try:
-                if slot is None:
-                    # zero-copy fast path: the pyramid (level 0 included)
-                    # already lives in the shared cache, pinned by the
-                    # producer, so attach by key instead of reading the ring
-                    with tracer.span("attach_pyramid", frame=key):
-                        cached = pyramid_cache.attach(
-                            key, expected_shape=(height, width)
-                        )
-                    if cached is None:
-                        raise RuntimeError(
-                            f"zero-copy pyramid for frame key {key} missing "
-                            "from the shared cache"
-                        )
-                    try:
-                        with tracer.span("extract", frame=key):
-                            result = extractor.extract(
-                                cached.level(0).image, frame_id=key, pyramid=cached
-                            )
-                    finally:
-                        cached.close()
-                else:
-                    with tracer.span("ring_read", frame=key):
-                        pixels = attach_slot_view(
-                            shm, slot, slot_bytes, height, width
-                        )
-                    with tracer.span("extract", frame=key):
-                        result = extractor.extract(GrayImage(pixels), frame_id=key)
+                with tracer.span("ring_read", frame=key):
+                    pixels = attach_slot_view(shm, slot, slot_bytes, height, width)
+                with tracer.span("extract", frame=key):
+                    result = extractor.extract(GrayImage(pixels), frame_id=key)
                 with tracer.span("pack", frame=key):
                     payload = pack_payload(result)
                 latency = time.perf_counter() - start
@@ -260,8 +221,6 @@ def worker_main(
             if len(pending) >= result_batch:
                 flush()
     finally:
-        if pyramid_cache is not None:
-            pyramid_cache.close()
         if result_ring is not None:
             result_ring.close()
         shm.close()

@@ -19,29 +19,16 @@ from typing import Tuple
 
 @dataclass(frozen=True)
 class PyramidConfig:
-    """Configuration of the image pyramid used for scale invariance.
-
-    ``provider`` selects the pyramid construction strategy
-    (:mod:`repro.pyramid`): ``"eager"`` (default) materialises every level
-    up front like the original software path, ``"streaming"`` builds each
-    level just in time in row bands as the detection engine consumes the
-    previous one (mirroring the hardware Image Resizing module), and
-    ``"shared"`` adds a ``multiprocessing.shared_memory`` cache so several
-    consumers of the same frame reuse one build.  All providers produce
-    bit-identical levels.
-    """
+    """Configuration of the image pyramid used for scale invariance."""
 
     num_levels: int = 4
     scale_factor: float = 1.2
-    provider: str = "eager"
 
     def __post_init__(self) -> None:
         if self.num_levels < 1:
             raise ValueError("pyramid must have at least one level")
         if self.scale_factor < 1.0:
             raise ValueError("scale_factor must be >= 1.0 (downsampling pyramid)")
-        if not isinstance(self.provider, str) or not self.provider:
-            raise ValueError("provider must be a non-empty pyramid provider name")
 
     def level_scale(self, level: int) -> float:
         """Return the downscale factor applied at ``level`` (level 0 is 1.0)."""
@@ -105,10 +92,6 @@ class ExtractorConfig:
     fixed-point smoother of the hardware model.  Select the ``hwexact`` pair
     together to reproduce :mod:`repro.hw` extraction bit for bit (see
     ``docs/hwexact.md``).
-
-    ``pyramid.provider`` selects how the multi-scale pyramid feeding those
-    engines is built (``"eager"`` / ``"streaming"`` / ``"shared"``, see
-    :mod:`repro.pyramid` and ``docs/pyramid.md``).
     """
 
     image_width: int = 640
@@ -147,10 +130,6 @@ class ExtractorConfig:
     def with_frontend(self, frontend: str) -> "ExtractorConfig":
         """Return a copy of this configuration with a different detection engine."""
         return replace(self, frontend=frontend)
-
-    def with_pyramid_provider(self, provider: str) -> "ExtractorConfig":
-        """Return a copy of this configuration with a different pyramid provider."""
-        return replace(self, pyramid=replace(self.pyramid, provider=provider))
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,10 @@ pyramid levels through numpy while ``reference`` keeps the scalar
 ground-truth path; both are bit-identical (see ``docs/backends.md``).
 The full-frame detection pass (FAST + Harris + NMS + smoothing) is likewise
 delegated to a :class:`~repro.frontend.DetectionEngine` selected by
-``ExtractorConfig.frontend`` (see ``docs/frontend.md``), and the multi-scale
-pyramid those engines consume comes from a
-:class:`~repro.pyramid.PyramidProvider` selected by
-``ExtractorConfig.pyramid.provider`` (eager / streaming / shared-cache, all
-bit-identical; see ``docs/pyramid.md``).  Candidates move through the
-extractor as coordinate/score arrays, and :class:`Feature` objects are only
+``ExtractorConfig.frontend`` (see ``docs/frontend.md``).  Each frame's
+multi-scale pyramid those engines consume is built once, up front, by
+:class:`~repro.image.ImagePyramid`.  Candidates move through the extractor
+as coordinate/score arrays, and :class:`Feature` objects are only
 materialised for the retained set.
 """
 
@@ -47,7 +45,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..config import ExtractorConfig
-from ..image import GrayImage, ImagePyramid, within_border
+from ..image import GrayImage, ImagePyramid, minimum_level_size, within_border
 from ..telemetry import current_tracer
 from .brief import DescriptorEngine
 from .heap_filter import BoundedScoreHeap
@@ -335,23 +333,18 @@ class OrbExtractor:
         order and ``config.backend`` the keypoint compute backend.
     """
 
-    def __init__(
-        self, config: ExtractorConfig | None = None, pyramid_cache=None
-    ) -> None:
+    def __init__(self, config: ExtractorConfig | None = None) -> None:
         # imported here (not at module scope) so that repro.features,
-        # repro.backends, repro.frontend and repro.pyramid can be imported
-        # in any order without a cycle
+        # repro.backends and repro.frontend can be imported in any order
+        # without a cycle
         from ..backends import create_backend
         from ..frontend import create_engine
-        from ..pyramid import create_provider
 
         self.config = config or ExtractorConfig()
         self.backend = create_backend(self.config.backend, self.config)
         self.frontend = create_engine(self.config.frontend, self.config)
-        self.pyramid_provider = create_provider(
-            self.config.pyramid.provider, self.config, cache=pyramid_cache
-        )
         self.descriptor_engine: DescriptorEngine = self.backend.descriptor_engine
+        self._min_level_size = minimum_level_size(self.config)
         self._border = max(
             self.config.fast.border,
             self.descriptor_engine.patch_radius() + 1,
@@ -360,54 +353,39 @@ class OrbExtractor:
 
     # -- public API -------------------------------------------------------
     def extract(
-        self,
-        image: GrayImage,
-        frame_id: int | None = None,
-        pyramid: "ImagePyramid | None" = None,
+        self, image: GrayImage, frame_id: int | None = None
     ) -> ExtractionResult:
         """Extract up to ``config.max_features`` ORB features from ``image``.
 
-        ``frame_id`` keys cross-consumer pyramid reuse for the ``shared``
-        provider (cluster workers pass the frame's cache key); local
-        providers ignore it.  ``pyramid`` optionally supplies an
-        already-acquired pyramid over ``image`` — the cluster's zero-copy
-        fast path hands workers a cache attachment directly, so extraction
-        must not re-acquire (or release) one through the provider; the
-        caller keeps ownership of a supplied pyramid.
+        ``frame_id`` only labels this frame's trace spans (the serving
+        layers pass their trace/journal correlation key); it never changes
+        the result.
         """
         tracer = current_tracer()
-        owned = pyramid is None
-        if owned:
-            with tracer.span("acquire_pyramid", frame=frame_id):
-                pyramid = self.pyramid_provider.acquire(image, frame_id)
-        try:
-            profile = ExtractionProfile(
-                workflow="rescheduled" if self.config.rescheduled_workflow else "original"
+        with tracer.span("acquire_pyramid", frame=frame_id):
+            pyramid = ImagePyramid(
+                image, self.config.pyramid, min_level_size=self._min_level_size
             )
-            profile.pixels_processed = pyramid.total_pixels()
-            if self.config.rescheduled_workflow:
-                features = self._extract_rescheduled(pyramid, profile)
-            else:
-                features = self._extract_original(pyramid, profile)
-            profile.features_retained = len(features)
-            if tracer.enabled:
-                # the engine's workload counters, attached to the timeline so
-                # a slow extract span can be explained without a second run
-                tracer.instant(
-                    "profile",
-                    frame=frame_id,
-                    keypoints_detected=profile.keypoints_detected,
-                    descriptors_computed=profile.descriptors_computed,
-                    features_retained=profile.features_retained,
-                )
-            return ExtractionResult(features=features, profile=profile)
-        finally:
-            if owned:
-                self.pyramid_provider.release(pyramid)
-
-    def close(self) -> None:
-        """Release provider-owned resources (a self-created shared pyramid cache)."""
-        self.pyramid_provider.close()
+        profile = ExtractionProfile(
+            workflow="rescheduled" if self.config.rescheduled_workflow else "original"
+        )
+        profile.pixels_processed = pyramid.total_pixels()
+        if self.config.rescheduled_workflow:
+            features = self._extract_rescheduled(pyramid, profile)
+        else:
+            features = self._extract_original(pyramid, profile)
+        profile.features_retained = len(features)
+        if tracer.enabled:
+            # the engine's workload counters, attached to the timeline so
+            # a slow extract span can be explained without a second run
+            tracer.instant(
+                "profile",
+                frame=frame_id,
+                keypoints_detected=profile.keypoints_detected,
+                descriptors_computed=profile.descriptors_computed,
+                features_retained=profile.features_retained,
+            )
+        return ExtractionResult(features=features, profile=profile)
 
     # -- per-level candidate detection --------------------------------------
     def _detect_level_candidates(

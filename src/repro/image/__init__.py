@@ -6,12 +6,11 @@ from .scratch import edge_pad_into, workspace_array, workspace_grid
 from .pyramid import (
     ImagePyramid,
     PyramidLevel,
+    minimum_level_size,
     nearest_neighbor_resize,
     pyramid_level_shapes,
     pyramid_pixel_ratio,
     resize_dimensions,
-    resize_nearest_into,
-    resize_source_indices,
     validate_pyramid_base,
 )
 from .synthetic import (
@@ -40,12 +39,11 @@ __all__ = [
     "workspace_grid",
     "ImagePyramid",
     "PyramidLevel",
+    "minimum_level_size",
     "nearest_neighbor_resize",
     "pyramid_level_shapes",
     "pyramid_pixel_ratio",
     "resize_dimensions",
-    "resize_nearest_into",
-    "resize_source_indices",
     "validate_pyramid_base",
     "checkerboard",
     "random_blocks",

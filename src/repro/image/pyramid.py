@@ -11,78 +11,26 @@ functional output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from ..config import PyramidConfig
+from ..config import ExtractorConfig, PyramidConfig
 from ..errors import ImageError
 from .image import GrayImage
-from .scratch import Workspace, workspace_array
 
 
 def resize_dimensions(height: int, width: int, scale: float) -> Tuple[int, int]:
     """Destination ``(height, width)`` of one nearest-neighbour resize step.
 
     The single definition of the level-size rounding rule, shared by the
-    software pyramid, every :mod:`repro.pyramid` provider and the hardware
-    Image Resizing model (:mod:`repro.hw.resizer`), so level geometry cannot
-    drift between the software and hardware paths.
+    software pyramid and the hardware Image Resizing model
+    (:mod:`repro.hw.resizer`), so level geometry cannot drift between the
+    software and hardware paths.
     """
     if scale < 1.0:
         raise ImageError("scale must be >= 1.0 for downsampling")
     return max(1, int(round(height / scale))), max(1, int(round(width / scale)))
-
-
-def resize_source_indices(dst_size: int, src_size: int, scale: float) -> np.ndarray:
-    """Source index of every destination sample along one axis.
-
-    Destination sample ``i`` reads source sample ``floor(i * scale)``
-    clamped to the source extent — the hardware resizer's sampling grid,
-    shared by the eager, streaming and shared-cache builds.
-    """
-    return np.minimum((np.arange(dst_size) * scale).astype(np.int64), src_size - 1)
-
-
-def resize_nearest_into(
-    src: np.ndarray,
-    scale: float,
-    out: np.ndarray,
-    band_rows: Optional[int] = None,
-    workspace: Optional[Workspace] = None,
-) -> np.ndarray:
-    """Nearest-neighbour downsample ``src`` into the preallocated ``out``.
-
-    ``out`` must have exactly the shape :func:`resize_dimensions` predicts
-    for ``src`` and ``scale``.  With ``band_rows`` set the destination is
-    produced in row bands (source rows gathered into a reused ``workspace``
-    scratch strip, then columns gathered into the output band), bounding the
-    per-call scratch to one band regardless of level size; the banded and
-    whole-level paths gather identical indices, so the output is
-    bit-identical either way.
-    """
-    src_h, src_w = src.shape
-    if out.shape != resize_dimensions(src_h, src_w, scale):
-        raise ImageError(
-            f"resize output shape {out.shape} does not match the "
-            f"{resize_dimensions(src_h, src_w, scale)} this scale produces"
-        )
-    dst_h, dst_w = out.shape
-    src_rows = resize_source_indices(dst_h, src_h, scale)
-    src_cols = resize_source_indices(dst_w, src_w, scale)
-    if band_rows is None or band_rows >= dst_h:
-        out[:] = src[np.ix_(src_rows, src_cols)]
-        return out
-    if band_rows < 1:
-        raise ImageError("band_rows must be positive")
-    for start in range(0, dst_h, band_rows):
-        stop = min(start + band_rows, dst_h)
-        band = workspace_array(
-            workspace, "pyramid_row_band", (stop - start, src_w), src.dtype
-        )
-        band[:] = src[src_rows[start:stop]]
-        out[start:stop] = band[:, src_cols]
-    return out
 
 
 def pyramid_level_shapes(
@@ -91,15 +39,26 @@ def pyramid_level_shapes(
     """Shape of every pyramid level for a ``height`` x ``width`` base image.
 
     Pure arithmetic (no pixels touched): applies :func:`resize_dimensions`
-    level by level, so lazily-built pyramids can report pixel counts — and
-    the shared-memory cache can compute slot layouts — without building
-    anything.
+    level by level, so input validation and the hardware cycle model can
+    size every level without building anything.
     """
     cfg = config or PyramidConfig()
     shapes = [(int(height), int(width))]
     for _ in range(1, cfg.num_levels):
         shapes.append(resize_dimensions(*shapes[-1], cfg.scale_factor))
     return shapes
+
+
+def minimum_level_size(config: ExtractorConfig) -> int:
+    """Smallest side the deepest pyramid level may have under ``config``.
+
+    The detection border and the descriptor patch both need a full window
+    inside the level; a level smaller than this window can only produce
+    shape errors downstream, so the extractor rejects such images up front
+    (see :func:`validate_pyramid_base`).
+    """
+    border = max(config.fast.border, config.descriptor.patch_radius + 1)
+    return 2 * border + 1
 
 
 def validate_pyramid_base(
@@ -145,12 +104,13 @@ def nearest_neighbor_resize(image: GrayImage, scale: float) -> GrayImage:
     ``scale`` is the ratio between source and destination size (a scale of
     1.2 shrinks both dimensions by 1/1.2).  The sampling grid matches the
     hardware resizer: destination pixel ``(i, j)`` reads source pixel
-    ``(floor(i*scale), floor(j*scale))``; rounding and sampling both live in
-    the shared helpers above.
+    ``(floor(i*scale), floor(j*scale))``, clamped to the source extent;
+    the output size comes from :func:`resize_dimensions`.
     """
-    out = np.empty(resize_dimensions(image.height, image.width, scale), dtype=np.uint8)
-    resize_nearest_into(image.pixels, scale, out)
-    return GrayImage(out)
+    dst_h, dst_w = resize_dimensions(image.height, image.width, scale)
+    rows = np.minimum((np.arange(dst_h) * scale).astype(np.int64), image.height - 1)
+    cols = np.minimum((np.arange(dst_w) * scale).astype(np.int64), image.width - 1)
+    return GrayImage(image.pixels[np.ix_(rows, cols)])
 
 
 @dataclass(frozen=True)
@@ -199,18 +159,6 @@ class ImagePyramid:
                 PyramidLevel(level, self.config.level_scale(level), current)
             )
         self._levels = levels
-
-    @classmethod
-    def from_levels(
-        cls, levels: Sequence[PyramidLevel], config: PyramidConfig
-    ) -> "ImagePyramid":
-        """Wrap already-built levels (cache attachments, tests) without rebuilding."""
-        if not levels:
-            raise ImageError("pyramid must have at least one level")
-        pyramid = cls.__new__(cls)
-        pyramid.config = config
-        pyramid._levels = list(levels)
-        return pyramid
 
     # -- access ----------------------------------------------------------
     @property

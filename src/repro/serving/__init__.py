@@ -11,7 +11,6 @@ from .frame_server import (
     FrameServer,
     FrameServing,
     ServingStats,
-    local_extraction_config,
     percentile_ms,
     stable_frame_id,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "FrameServing",
     "RESULT_PACK_MAGIC",
     "ServingStats",
-    "local_extraction_config",
     "max_packed_nbytes",
     "pack_into",
     "pack_result",

@@ -124,11 +124,11 @@ class SlamSystem:
         identical to the sequential path because extraction is a pure
         per-frame function.
 
-        ``frame_ids`` overrides the pyramid-cache key submitted per frame;
-        by default each frame gets :func:`repro.serving.stable_frame_id`
-        of ``(sequence.name, frame.index)``, so N systems replaying the
-        same sequence against one shared pyramid cache attach to one
-        cached pyramid N times instead of building N.
+        ``frame_ids`` overrides the trace and journal correlation key
+        submitted per frame; by default each frame gets
+        :func:`repro.serving.stable_frame_id` of ``(sequence.name,
+        frame.index)``, so the spans and journal rows of N systems
+        replaying the same sequence line up frame by frame.
 
         ``frame_deadline_s`` optionally forwards a per-frame serving
         budget to servers that support one (``submit(...,

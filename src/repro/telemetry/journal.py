@@ -25,12 +25,10 @@ kind                meaning
 ``expired``         a frame's deadline lapsed before dispatch
 ``pool_grow``       elastic controller added a worker
 ``pool_shrink``     elastic controller retired a worker
-``publish_fallback``  shared-pyramid publish failed; frame fell back to ring
 ``leak_reclaim``    close() reclaimed slots a dead worker left pinned
 ``restart_backoff``  a respawn attempt failed; retry scheduled after backoff
 ``chaos_kill``      fault plan killed a worker (injected)
 ``chaos_stall``     fault plan wedged a worker's heartbeat (injected)
-``chaos_publish_fail``  fault plan armed a shared-pyramid publish failure
 ``chaos_slow_frame``  fault plan slept the producer before a submission
 ==================  ==========================================================
 """

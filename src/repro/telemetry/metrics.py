@@ -3,8 +3,7 @@
 The paper's evaluation is built around per-stage counters (Table 2's
 runtime breakdown); the reproduction's serving layer accumulated ~25
 ad-hoc counter dicts across :class:`~repro.serving.ServingStats`,
-:class:`~repro.cluster.ClusterStats`, per-worker stats and the shared
-pyramid cache.  This module is the single store those views now share:
+:class:`~repro.cluster.ClusterStats` and per-worker stats.  This module is the single store those views now share:
 
 * :class:`Counter` — monotonically increasing event count (plus a signed
   :meth:`Counter.add` escape hatch for the rare compensating adjustment,
@@ -26,7 +25,7 @@ Metric mutation methods take a tiny per-metric lock, so standalone use is
 thread-safe; the serving stats additionally serialize related updates
 under their own coarser locks exactly as before.  The naming scheme
 (``serving_*``, ``cluster_*``, ``cluster_worker_*{worker=...}``,
-``pyramid_cache_*``, ``*_ring_*``) is documented — and drift-checked by
+``*_ring_*``) is documented — and drift-checked by
 ``tests/test_telemetry.py`` — in ``docs/observability.md``.
 """
 

@@ -7,6 +7,10 @@ while still exercising the real code paths end to end.
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,44 @@ from repro.dataset import SequenceSpec, make_sequence
 from repro.features import OrbExtractor
 from repro.geometry import PinholeCamera, Pose, so3_exp
 from repro.image import GrayImage, random_blocks
+
+
+# ---------------------------------------------------------------------------
+# per-test deadline: a hang fails the run with every thread's stack
+# ---------------------------------------------------------------------------
+#: Duplicate of the real stderr, taken while pytest's output capture is
+#: suspended; a stack dump written to the captured stream would be lost
+#: when the deadline exits the process.
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    fd = config.stash.get(_STDERR_FD, None)
+    if fd is not None:
+        os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def _test_deadline(request):
+    """Dump all stacks and exit if one test outlives ``faulthandler_timeout``.
+
+    pytest's own ``faulthandler_timeout`` only dumps stacks; this fixture
+    re-arms the same single faulthandler timer with ``exit=True`` for the
+    test body, so a hung test fails the run instead of stalling it.
+    """
+    timeout_s = float(request.config.getini("faulthandler_timeout") or 0.0)
+    if timeout_s <= 0.0:
+        yield
+        return
+    faulthandler.dump_traceback_later(
+        timeout_s, exit=True, file=request.config.stash[_STDERR_FD]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ class TestImagePyramid:
 
 
 class TestSharedResizeArithmetic:
-    """One rounding rule for software levels, providers and the hw resizer."""
+    """One rounding rule for software levels and the hw resizer."""
 
     def test_resize_dimensions_matches_resize_output(self, blocks_image):
         for scale in (1.0, 1.2, 1.5, 2.0):
@@ -105,15 +105,6 @@ class TestSharedResizeArithmetic:
         assert module.resize(large_blocks_image).shape == module.output_shape(
             large_blocks_image
         )
-
-    def test_from_levels_wraps_without_rebuilding(self, large_blocks_image):
-        config = PyramidConfig(num_levels=2)
-        source = ImagePyramid(large_blocks_image, config)
-        wrapped = ImagePyramid.from_levels(source.levels, config)
-        assert wrapped.num_levels == 2
-        assert wrapped.level(1).image is source.level(1).image
-        with pytest.raises(ImageError):
-            ImagePyramid.from_levels([], config)
 
 
 class TestPyramidPixelRatio:

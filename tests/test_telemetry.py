@@ -411,8 +411,7 @@ class TestEventJournal:
 class TestStatsGoldenKeys:
     CLUSTER_KEYS = {
         "frames_submitted", "frames_completed", "frames_failed",
-        "max_in_flight", "queue_depth", "steals", "publish_fallbacks",
-        "frames_zero_copy", "frames_via_ring", "ring_bytes_copied",
+        "max_in_flight", "queue_depth", "steals", "ring_bytes_copied",
         "results_zero_copy", "results_via_pickle", "result_bytes_saved",
         "restarts", "retries", "requeued", "shed", "pool_grows",
         "pool_shrinks", "leaked_slots", "latency_p50_ms", "latency_p95_ms",
@@ -535,22 +534,23 @@ class TestClusterTracing:
         for seq_result, traced_result in zip(sequential, served):
             assert _feature_key(seq_result) == _feature_key(traced_result)
 
-    def test_chaos_journal_carries_plan_seed(self, telemetry_images):
-        config = ExtractorConfig(
-            image_width=160,
-            image_height=120,
-            pyramid=PyramidConfig(num_levels=2, provider="shared"),
-            max_features=150,
+    def test_chaos_journal_carries_plan_seed(
+        self, telemetry_config, telemetry_images
+    ):
+        plan = FaultPlan(
+            [FaultEvent(at_submit=2, kind="kill", worker_id=0)], seed=11
         )
-        plan = FaultPlan([FaultEvent(at_submit=2, kind="publish_fail")], seed=11)
         with ClusterServer(
-            config, num_workers=1, supervision=FAST_SUPERVISION, fault_plan=plan
+            telemetry_config,
+            num_workers=1,
+            supervision=FAST_SUPERVISION,
+            fault_plan=plan,
         ) as server:
             server.extract_many(telemetry_images[:4])
-            rows = server.journal.events(kind="chaos_publish_fail")
-            fallbacks = server.journal.events(kind="publish_fallback")
+            rows = server.journal.events(kind="chaos_kill")
+            reactions = server.journal.events(kind="worker_dead")
         assert len(rows) == 1 and rows[0].seed == 11
-        assert fallbacks and fallbacks[0].seed == 11
+        assert reactions and reactions[0].seed == 11
 
 
 # ---------------------------------------------------------------------------
@@ -559,28 +559,23 @@ class TestClusterTracing:
 
 
 class TestDocsDrift:
-    def test_every_metric_name_is_documented(self, telemetry_images):
+    def test_every_metric_name_is_documented(
+        self, telemetry_config, telemetry_images
+    ):
         """``docs/observability.md`` must name every registered metric."""
         doc_path = os.path.join(
             os.path.dirname(__file__), "..", "docs", "observability.md"
         )
         with open(doc_path) as handle:
             doc = handle.read()
-        config = ExtractorConfig(
-            image_width=160,
-            image_height=120,
-            pyramid=PyramidConfig(num_levels=2, provider="shared"),
-            max_features=150,
-        )
         registry = MetricsRegistry()
-        with ClusterServer(config, num_workers=1, registry=registry) as server:
+        with ClusterServer(
+            telemetry_config, num_workers=1, registry=registry
+        ) as server:
             server.extract_many(telemetry_images[:2])
-        with FrameServer(config=ExtractorConfig(
-            image_width=160,
-            image_height=120,
-            pyramid=PyramidConfig(num_levels=2),
-            max_features=150,
-        ), max_workers=1, registry=registry) as thread_server:
+        with FrameServer(
+            config=telemetry_config, max_workers=1, registry=registry
+        ) as thread_server:
             thread_server.extract_many(telemetry_images[:1])
         missing = [
             name for name in registry.metric_names() if name not in doc
