@@ -7,6 +7,7 @@ workload counters can be sanity-checked against real operation counts.
 """
 
 import numpy as np
+import pytest
 
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor, fast_corner_mask, harris_response_map
@@ -44,14 +45,24 @@ def test_kernel_full_extraction(benchmark, small_image):
     assert len(result.features) > 100
 
 
-def test_kernel_hamming_matrix(benchmark):
+@pytest.mark.parametrize(
+    "num_frame, num_map",
+    [
+        pytest.param(512, 1024, id="512x1024"),
+        # the map size at the end of a 20-frame fr1/desk QVGA tracking session
+        pytest.param(1024, 3320, id="1024x3320"),
+    ],
+)
+def test_kernel_hamming_matrix(benchmark, num_frame, num_map):
     rng = np.random.default_rng(0)
-    frame = rng.integers(0, 256, (512, 32), dtype=np.uint8)
-    global_map = rng.integers(0, 256, (1024, 32), dtype=np.uint8)
+    frame = rng.integers(0, 256, (num_frame, 32), dtype=np.uint8)
+    global_map = rng.integers(0, 256, (num_map, 32), dtype=np.uint8)
     matrix = benchmark(hamming_distance_matrix, frame, global_map)
-    print_section("Kernel: Hamming distance matrix (512 x 1024 descriptors)")
+    print_section(f"Kernel: Hamming distance matrix ({num_frame} x {num_map} descriptors)")
     print(f"  mean distance: {matrix.mean():.1f} bits (random descriptors -> ~128)")
-    assert matrix.shape == (512, 1024)
+    if benchmark.stats:  # None under --benchmark-disable
+        print(f"  {benchmark.stats.stats.mean / matrix.size * 1e9:.2f} ns per evaluation")
+    assert matrix.shape == (num_frame, num_map)
     assert 120 < matrix.mean() < 136
 
 

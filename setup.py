@@ -2,7 +2,8 @@
 
 A classic ``setup.py`` so the package installs with older setuptools too,
 e.g. ``pip install -e . --no-use-pep517 --no-build-isolation``.  The only
-runtime dependency is numpy; the test and benchmark tooling (pytest,
+runtime dependency is numpy >= 2.0 (the Hamming kernel uses
+``np.bitwise_count``); the test and benchmark tooling (pytest,
 hypothesis, pytest-benchmark) is installed separately.
 """
 
@@ -18,5 +19,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy>=2.0"],
 )

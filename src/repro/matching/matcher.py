@@ -159,14 +159,17 @@ class BruteForceMatcher:
         The second-best distance is the row minimum with the best *position*
         masked out (identical to the old per-row ``np.delete`` + partition);
         a second-best of 0 always fails, and the test is skipped entirely
-        when disabled or when there is only one candidate.
+        when disabled or when there is only one candidate.  The mask is
+        written into ``distances`` in place and then restored, so the test
+        stays in integers and copies nothing.
         """
         num_queries, num_candidates = distances.shape
         if self.config.ratio_threshold >= 1.0 or num_candidates < 2:
             return np.ones(num_queries, dtype=bool)
-        masked = distances.astype(np.float64, copy=True)
-        masked[np.arange(num_queries), best_train] = np.inf
-        second = masked.min(axis=1)
+        best_positions = (np.arange(num_queries), best_train)
+        distances[best_positions] = np.iinfo(distances.dtype).max
+        second = distances.min(axis=1)
+        distances[best_positions] = best_distance
         return (second > 0) & (best_distance <= self.config.ratio_threshold * second)
 
 

@@ -1,5 +1,7 @@
 """Tests for Hamming distance and the brute-force matcher."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,51 @@ class TestDistanceMatrix:
             hamming_distance_matrix(
                 np.zeros((2, 32), dtype=np.uint8), np.zeros((2, 16), dtype=np.uint8)
             )
+
+
+def _unpackbits_oracle(a, b):
+    """Bit-by-bit Hamming distances, independent of the word-wise kernel."""
+    xor = np.bitwise_xor(a[:, np.newaxis, :], b[np.newaxis, :, :])
+    return np.unpackbits(xor, axis=2).sum(axis=2)
+
+
+class TestDistanceMatrixOracle:
+    """The 64-bit word kernel must equal an unpackbits oracle bit for bit."""
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 31, 32, 33, 64])
+    def test_byte_widths(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.integers(0, 256, (9, width), dtype=np.uint8)
+        b = rng.integers(0, 256, (13, width), dtype=np.uint8)
+        distances = hamming_distance_matrix(a, b)
+        assert distances.dtype == np.int32
+        np.testing.assert_array_equal(distances, _unpackbits_oracle(a, b))
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            pytest.param(lambda m: m[2:7], id="row-slice"),
+            pytest.param(lambda m: m[::2], id="row-stride"),
+            pytest.param(lambda m: m[:, ::-1], id="reversed-bytes"),
+            pytest.param(np.asfortranarray, id="fortran"),
+        ],
+    )
+    def test_non_contiguous_inputs(self, view):
+        rng = np.random.default_rng(11)
+        a = view(rng.integers(0, 256, (12, 32), dtype=np.uint8))
+        b = view(rng.integers(0, 256, (15, 32), dtype=np.uint8))
+        np.testing.assert_array_equal(hamming_distance_matrix(a, b), _unpackbits_oracle(a, b))
+
+    @pytest.mark.parametrize("num_a, num_b", [(1, 40), (40, 1), (1, 1)])
+    def test_single_row_sets(self, num_a, num_b):
+        a = _random_descriptors(num_a, seed=12)
+        b = _random_descriptors(num_b, seed=13)
+        np.testing.assert_array_equal(hamming_distance_matrix(a, b), _unpackbits_oracle(a, b))
+
+    def test_spans_several_row_blocks(self):
+        a = _random_descriptors(300, seed=14)
+        b = _random_descriptors(700, seed=15)
+        np.testing.assert_array_equal(hamming_distance_matrix(a, b), _unpackbits_oracle(a, b))
 
 
 class TestMinimumDistanceMatching:
@@ -224,6 +271,78 @@ class TestVectorizedSelectionEquivalence:
             assert matcher.last_stats.rejected_ratio == rejected["ratio"]
             assert matcher.last_stats.rejected_cross_check == rejected["cross"]
             assert matcher.last_stats.accepted == len(expected)
+
+    @staticmethod
+    def _low_entropy(rng, bases, count):
+        """Copies of a few base descriptors with 0-2 bits flipped each."""
+        rows = bases[rng.integers(0, len(bases), count)].copy()
+        for row in rows:
+            for bit in rng.choice(row.size * 8, rng.integers(0, 3), replace=False):
+                row[bit // 8] ^= np.uint8(1 << (bit % 8))
+        return rows
+
+    def _assert_equals_loop(self, query, train, config):
+        matcher = BruteForceMatcher(config)
+        arrays = matcher.match_arrays(query, train)
+        expected, rejected = self._loop_oracle(query, train, config)
+        assert arrays.to_matches() == expected
+        assert vars(matcher.last_stats) == {
+            "num_queries": query.shape[0],
+            "num_candidates": train.shape[0],
+            "distance_evaluations": query.shape[0] * train.shape[0],
+            "accepted": len(expected),
+            "rejected_distance": rejected["distance"],
+            "rejected_ratio": rejected["ratio"],
+            "rejected_cross_check": rejected["cross"],
+        }
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    @pytest.mark.parametrize("ratio", [0.5, 0.85, 1.0])
+    def test_tie_heavy_descriptors_equal_loop(self, cross_check, ratio):
+        rng = np.random.default_rng(7)
+        config = MatcherConfig(
+            max_hamming_distance=40, ratio_threshold=ratio, cross_check=cross_check
+        )
+        zero_seconds = second_equals_best = 0
+        for trial in range(25):
+            bases = _random_descriptors(3, seed=100 + trial)
+            query = self._low_entropy(rng, bases, 10)
+            train = self._low_entropy(rng, bases, 12)
+            distances = np.sort(hamming_distance_matrix(query, train), axis=1)
+            second_equals_best += int(np.count_nonzero(distances[:, 0] == distances[:, 1]))
+            zero_seconds += int(np.count_nonzero(distances[:, 1] == 0))
+            self._assert_equals_loop(query, train, config)
+        # the data really exercises the tie cases
+        assert second_equals_best > 50 and zero_seconds > 10
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0])
+    def test_single_candidate_train_set(self, cross_check, ratio):
+        rng = np.random.default_rng(8)
+        config = MatcherConfig(
+            max_hamming_distance=40, ratio_threshold=ratio, cross_check=cross_check
+        )
+        bases = _random_descriptors(2, seed=5)
+        for trial in range(10):
+            query = self._low_entropy(rng, bases, 6)
+            train = self._low_entropy(rng, bases, 1)
+            self._assert_equals_loop(query, train, config)
+
+
+class TestMatcherMemory:
+    """The matcher's transient memory stays a small multiple of the int32 result."""
+
+    def test_peak_bytes_per_descriptor_pair(self):
+        # the map size at the end of a 20-frame fr1/desk QVGA tracking session
+        query = _random_descriptors(1024, seed=21)
+        train = _random_descriptors(3320, seed=22)
+        tracemalloc.start()
+        try:
+            BruteForceMatcher().match_arrays(query, train)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (query.shape[0] * train.shape[0]) <= 24
 
 
 class TestMatchArrays:
