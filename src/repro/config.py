@@ -78,6 +78,13 @@ class DescriptorConfig:
 class ExtractorConfig:
     """Configuration of the full ORB extractor (software and hardware model).
 
+    ``rescheduled_workflow`` selects the modelled hardware schedule (paper
+    Section 3.1): ``True`` is eSLAM's detect -> describe -> filter order,
+    ``False`` the original detect -> filter -> describe order.  It changes
+    what the extraction profile reports (descriptors computed, heap
+    comparisons) and which schedule the cycle model costs, never the
+    features: software extraction always describes only the retained set.
+
     ``backend`` selects the keypoint compute engine used for the orientation
     and description hot path: ``"vectorized"`` (default) batches whole pyramid
     levels through numpy, ``"reference"`` keeps the bit-exact per-keypoint

@@ -3,8 +3,9 @@
 The Heap module in the ORB Extractor stores descriptors, coordinates and
 Harris scores of streaming features and guarantees that only the 1024
 features with the best Harris scores are kept.  In the rescheduled workflow
-the heap performs the *Filtering* step after descriptors have already been
-computed.
+the hardware heap performs the *Filtering* step after descriptors have
+already been computed; the software extractor offers the candidates' scores
+before describing them, which retains the same set.
 
 A bounded "keep the K largest" structure is most naturally a **min-heap of
 size K** keyed on score: a new feature replaces the root when it beats the
@@ -27,24 +28,6 @@ import numpy as np
 from ..errors import FeatureError
 
 T = TypeVar("T")
-
-
-def _first_exceeding(scores: np.ndarray, start: int, threshold: float, chunk: int = 256) -> int:
-    """Index of the first score after ``start`` exceeding ``threshold``, or -1.
-
-    Scans in bounded chunks so a run of acceptances costs O(chunk) per
-    accepted item instead of re-scanning (and re-allocating an index array
-    over) the entire remaining tail each time.
-    """
-    count = scores.size
-    index = start
-    while index < count:
-        stop = min(count, index + chunk)
-        hits = scores[index:stop] > threshold
-        if hits.any():
-            return index + int(np.argmax(hits))
-        index = stop
-    return -1
 
 
 @dataclass
@@ -125,42 +108,46 @@ class BoundedScoreHeap(Generic[T]):
 
         Equivalent to calling :meth:`offer` for every ``(score, item)`` pair
         in order — same retained set, same tie-breaking, same statistics —
-        but runs of sub-threshold scores are rejected in one vectorised scan
-        while the heap is full, instead of one Python call per feature.
-        Returns the number of retained items.
+        without one Python call per item: the free slots are filled in one
+        step, and after that only the scores above the current minimum are
+        visited.  The minimum never falls, so every other score is a
+        rejection wherever it stands in the batch.  Returns the number of
+        retained items.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 1 or scores.size != len(items):
             raise FeatureError("scores must be a 1-D array matching len(items)")
-        retained = 0
-        index = 0
         count = scores.size
-        while index < count:
-            if not self.is_full:
-                if self.offer(float(scores[index]), items[index]):
-                    retained += 1
-                index += 1
-                continue
-            # the threshold only moves when an item is accepted, so every
-            # score <= threshold before the next beating score is a rejection
-            beating = _first_exceeding(scores, index, self._heap[0][0])
-            skipped = (count if beating < 0 else beating) - index
-            if skipped:
-                self._reject_run(skipped)
-                index += skipped
-            if beating < 0:
-                break
-            if self.offer(float(scores[index]), items[index]):
-                retained += 1
-            index += 1
-        return retained
-
-    def _reject_run(self, count: int) -> None:
-        """Account ``count`` consecutive rejections without touching the heap."""
-        # advance the tie-break counter exactly as `count` offers would have
-        deque(itertools.islice(self._counter, count), maxlen=0)
-        self.stats.rejections += count
-        self.stats.comparisons += count
+        if count == 0:
+            return 0
+        # item ``i`` gets the tie-break order ``-(first + i)``, as if offered one by one
+        first = next(self._counter)
+        deque(itertools.islice(self._counter, count - 1), maxlen=0)
+        heap = self._heap
+        fill = min(self.capacity - len(heap), count)
+        if fill:
+            size = len(heap)
+            heap.extend(
+                zip(scores[:fill].tolist(), range(-first, -first - fill, -1), items[:fill])
+            )
+            heapq.heapify(heap)
+            self.stats.insertions += fill
+            self.stats.comparisons += sum(
+                max(1, length.bit_length()) for length in range(size + 1, size + fill + 1)
+            )
+        offered = count - fill
+        if offered == 0:
+            return fill
+        contenders = np.flatnonzero(scores[fill:] > heap[0][0]) + fill
+        replacements = 0
+        for index, score in zip(contenders.tolist(), scores[contenders].tolist()):
+            if score > heap[0][0]:
+                heapq.heapreplace(heap, (score, -(first + index), items[index]))
+                replacements += 1
+        self.stats.replacements += replacements
+        self.stats.rejections += offered - replacements
+        self.stats.comparisons += offered + replacements * max(1, self.capacity.bit_length())
+        return fill + replacements
 
     def items_by_score(self) -> List[T]:
         """Return retained items sorted by descending score (stable for ties)."""

@@ -1,27 +1,30 @@
 """Software ORB feature extractor.
 
 This is the functional reference for the accelerated ORB Extractor: it runs
-FAST detection, Harris scoring, non-maximum suppression, Gaussian smoothing,
-orientation computation, BRIEF description (RS-BRIEF or original ORB) and
-best-N filtering over a multi-scale image pyramid.
+FAST detection, Harris scoring, non-maximum suppression, best-N heap
+filtering, Gaussian smoothing, orientation computation and BRIEF description
+(RS-BRIEF or original ORB) over a multi-scale image pyramid.
 
-Two workflow orders are supported, matching Section 3.1 of the paper:
+Section 3.1 of the paper compares two hardware schedules:
 
-* ``original``   -- detect -> filter (keep best N) -> describe.  This is the
-  order of the original ORB implementation; on hardware it forces the
-  descriptor pipeline to idle until filtering completes and requires caching
-  every candidate keypoint's neighbourhood.
+* ``original``   -- detect -> filter (keep best N) -> describe.  The order of
+  the original ORB implementation; on hardware it forces the descriptor
+  pipeline to idle until filtering completes and requires caching every
+  candidate keypoint's neighbourhood.
 * ``rescheduled`` -- detect -> describe -> filter.  eSLAM's streaming order:
   descriptors are computed for *all* M detected keypoints as they stream by
   and the heap keeps the best N at the end.  The extra ``M - N`` descriptor
   computations are the overhead the paper trades for the eliminated idle
   time and cache.
 
-Both orders produce the same final feature set whenever the filtering
-criterion depends only on the Harris score (which it does); tests assert
-this equivalence, and :class:`ExtractionProfile` records the operation
-counts (extra descriptors, cached candidates) that differ between them and
-feed the hardware/runtime models.
+Both schedules retain the same features, because the filter depends only
+on the Harris score and description is a pure function of (image,
+keypoint).  The software therefore always runs the cheap order -- detect
+every level, heap-filter, then smooth and describe only the retained
+candidates -- and ``ExtractorConfig.rescheduled_workflow`` selects only
+which schedule :class:`ExtractionProfile` accounts for (descriptors
+computed, heap comparisons).  Those counts feed the platform runtime
+models and the hardware cycle model.
 
 The per-keypoint compute (orientation + description) is delegated to a
 pluggable :class:`~repro.backends.KeypointBackend` selected by
@@ -32,14 +35,15 @@ The full-frame detection pass (FAST + Harris + NMS + smoothing) is likewise
 delegated to a :class:`~repro.frontend.DetectionEngine` selected by
 ``ExtractorConfig.frontend`` (see ``docs/frontend.md``).  Each frame's
 multi-scale pyramid those engines consume is built once, up front, by
-:class:`~repro.image.ImagePyramid`.  Candidates move through the extractor
-as coordinate/score arrays, and :class:`Feature` objects are only
-materialised for the retained set.
+:class:`~repro.image.ImagePyramid`.  Candidates and the retained set move
+through the extractor as arrays; the result is arrays-first
+(:meth:`ExtractionResult.from_arrays`), so :class:`Feature` objects are only
+built if a caller asks for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -132,17 +136,24 @@ class FeatureArrays:
         )
 
     @classmethod
-    def empty(cls, descriptor_width: int = 32) -> "FeatureArrays":
+    def empty(cls, descriptor_width: int = 32, count: int = 0) -> "FeatureArrays":
+        """Arrays for ``count`` features, uninitialised like :func:`numpy.empty`."""
         return cls(
-            descriptors=np.zeros((0, descriptor_width), dtype=np.uint8),
-            levels=np.zeros(0, dtype=np.int64),
-            xs=np.zeros(0, dtype=np.int64),
-            ys=np.zeros(0, dtype=np.int64),
-            scores=np.zeros(0, dtype=np.float64),
-            orientation_bins=np.zeros(0, dtype=np.int64),
-            orientation_rads=np.zeros(0, dtype=np.float64),
-            x0=np.zeros(0, dtype=np.float64),
-            y0=np.zeros(0, dtype=np.float64),
+            descriptors=np.empty((count, descriptor_width), dtype=np.uint8),
+            levels=np.empty(count, dtype=np.int64),
+            xs=np.empty(count, dtype=np.int64),
+            ys=np.empty(count, dtype=np.int64),
+            scores=np.empty(count, dtype=np.float64),
+            orientation_bins=np.empty(count, dtype=np.int64),
+            orientation_rads=np.empty(count, dtype=np.float64),
+            x0=np.empty(count, dtype=np.float64),
+            y0=np.empty(count, dtype=np.float64),
+        )
+
+    def take(self, rows: np.ndarray) -> "FeatureArrays":
+        """The features at ``rows``, in that order."""
+        return FeatureArrays(
+            **{column.name: getattr(self, column.name)[rows] for column in fields(self)}
         )
 
     def build_features(self) -> List[Feature]:
@@ -178,12 +189,12 @@ class ExtractionResult:
     which the SLAM front-end consumes directly on its hot path; the arrays
     are built once on first access and cached.
 
-    A result can be constructed either from per-feature objects (the
-    extractor path) or **arrays-first** via :meth:`from_arrays` (the
+    A result can be constructed either from per-feature objects or
+    **arrays-first** via :meth:`from_arrays` (:class:`OrbExtractor` and the
     zero-copy result transport, :mod:`repro.serving.resultpack`).  In the
     arrays-first form the ``features`` list is built lazily on first
     access, so consumers that only read the dense arrays — the
-    server→:class:`~repro.slam.tracker.Tracker` hot path — never pay for
+    :class:`~repro.slam.tracker.Tracker` hot path — never pay for
     materialising ``N`` :class:`~repro.features.keypoint.Feature` objects
     at all.
     """
@@ -329,8 +340,9 @@ class OrbExtractor:
     ----------
     config:
         Extractor configuration; ``config.use_rs_brief`` selects the
-        descriptor strategy, ``config.rescheduled_workflow`` the workflow
-        order and ``config.backend`` the keypoint compute backend.
+        descriptor strategy, ``config.rescheduled_workflow`` the hardware
+        schedule the profile accounts for and ``config.backend`` the
+        keypoint compute backend.
     """
 
     def __init__(self, config: ExtractorConfig | None = None) -> None:
@@ -370,11 +382,30 @@ class OrbExtractor:
             workflow="rescheduled" if self.config.rescheduled_workflow else "original"
         )
         profile.pixels_processed = pyramid.total_pixels()
+        candidates = []
+        for level in pyramid:
+            with tracer.span("detect", level=level.level):
+                candidates.append(
+                    self._detect_level_candidates(level.image, level.level, profile)
+                )
+        # the heap sees the candidates in streaming order (level by level),
+        # so ties keep the earlier candidate exactly as the hardware heap does
+        heap: BoundedScoreHeap[int] = BoundedScoreHeap(self.config.max_features)
+        with tracer.span("filter"):
+            start = 0
+            for _, _, scores in candidates:
+                heap.offer_batch(scores, range(start, start + scores.size))
+                start += scores.size
+            ranked = np.array(heap.items_by_score(), dtype=np.int64)
+        arrays = self._describe_retained(pyramid, candidates, ranked)
+        profile.features_retained = len(arrays)
         if self.config.rescheduled_workflow:
-            features = self._extract_rescheduled(pyramid, profile)
+            # the modelled streaming schedule describes every candidate and
+            # heap-filters afterwards; software only describes the winners
+            profile.descriptors_computed = profile.keypoints_after_nms
+            profile.heap_comparisons = heap.stats.comparisons
         else:
-            features = self._extract_original(pyramid, profile)
-        profile.features_retained = len(features)
+            profile.descriptors_computed = len(arrays)
         if tracer.enabled:
             # the engine's workload counters, attached to the timeline so
             # a slow extract span can be explained without a second run
@@ -385,7 +416,7 @@ class OrbExtractor:
                 descriptors_computed=profile.descriptors_computed,
                 features_retained=profile.features_retained,
             )
-        return ExtractionResult(features=features, profile=profile)
+        return ExtractionResult.from_arrays(arrays, profile)
 
     # -- per-level candidate detection --------------------------------------
     def _detect_level_candidates(
@@ -399,141 +430,61 @@ class OrbExtractor:
         of the NMS survivors that keep a full descriptor border inside the
         level, filtered by array masking (no per-survivor Python loop).
         """
-        empty = (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.float64),
-        )
         xs, ys, scores, corners_detected = self.frontend.detect_with_count(level_image)
         profile.keypoints_detected += corners_detected
-        if xs.size == 0:
-            profile.per_level_keypoints.append(0)
-            return empty
         inside = within_border(xs, ys, level_image.shape, self._border)
-        xs = xs[inside]
-        ys = ys[inside]
+        xs, ys, scores = xs[inside], ys[inside], scores[inside]
         profile.keypoints_after_nms += int(xs.size)
         profile.per_level_keypoints.append(int(xs.size))
-        if xs.size == 0:
-            return empty
-        return xs, ys, scores[inside]
+        return xs, ys, scores
 
-    def _feature_from_batch(self, batch, index: int, level: int) -> Feature:
-        """Materialise one retained :class:`Feature` from a described batch."""
-        keypoint = Keypoint(
-            x=int(batch.xs[index]),
-            y=int(batch.ys[index]),
-            score=float(batch.scores[index]),
-            level=level,
-            orientation_bin=int(batch.orientation_bins[index]),
-            orientation_rad=float(batch.orientation_rads[index]),
-        )
-        scale = self.config.pyramid.level_scale(level)
-        x0, y0 = keypoint.level0_coordinates(scale)
-        return Feature(
-            keypoint=keypoint, descriptor=batch.descriptors[index], x0=x0, y0=y0
-        )
+    # -- description of the retained set ------------------------------------
+    def _describe_retained(
+        self,
+        pyramid: ImagePyramid,
+        candidates: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        ranked: np.ndarray,
+    ) -> FeatureArrays:
+        """Describe the heap's winners, one batch per level, in rank order.
 
-    # -- the two workflow orders --------------------------------------------
-    def _extract_rescheduled(
-        self, pyramid: ImagePyramid, profile: ExtractionProfile
-    ) -> List[Feature]:
-        """eSLAM order: describe every detected keypoint, then heap-filter.
-
-        Each level's candidates are described as one batch by the backend and
-        bulk-inserted into the heap; only the retained winners become
-        :class:`Feature` objects.
+        ``ranked`` holds the retained candidates' indices into the
+        level-ordered concatenation of ``candidates``, best score first.  A
+        level is smoothed only when it holds a winner, and its smoothed image
+        is dropped before the next level's is built.
         """
         tracer = current_tracer()
-        heap: BoundedScoreHeap[Tuple[int, int]] = BoundedScoreHeap(self.config.max_features)
-        batches: List[Tuple[int, object]] = []
+        sizes = [scores.size for _, _, scores in candidates]
+        starts = np.cumsum([0] + sizes[:-1])
+        level_of = np.repeat(np.arange(len(sizes)), sizes)[ranked]
+        arrays = FeatureArrays.empty(self.config.descriptor.num_bytes, count=ranked.size)
+        described = np.zeros(ranked.size, dtype=bool)
         for level in pyramid:
+            ranks = np.flatnonzero(level_of == level.level)
+            if ranks.size == 0:
+                continue
+            xs, ys, scores = candidates[level.level]
+            local = ranked[ranks] - starts[level.level]
             with tracer.span("smooth", level=level.level):
                 smoothed = self.frontend.smooth(level.image)
-            with tracer.span("detect", level=level.level):
-                xs, ys, scores = self._detect_level_candidates(level.image, level.level, profile)
-            if xs.size == 0:
-                continue
             with tracer.span("describe", level=level.level):
-                batch = self.backend.describe(smoothed, xs, ys, scores)
-            if batch.size == 0:
-                continue
-            profile.descriptors_computed += batch.size
-            batch_index = len(batches)
-            batches.append((level.level, batch))
-            heap.offer_batch(
-                batch.scores, [(batch_index, row) for row in range(batch.size)]
-            )
-        profile.heap_comparisons = heap.stats.comparisons
-        features: List[Feature] = []
-        with tracer.span("filter"):
-            for batch_index, row in heap.items_by_score():
-                level, batch = batches[batch_index]
-                features.append(self._feature_from_batch(batch, row, level))
-        return features
-
-    def _extract_original(
-        self, pyramid: ImagePyramid, profile: ExtractionProfile
-    ) -> List[Feature]:
-        """Original order: collect all keypoints, filter to best N, then describe."""
-        tracer = current_tracer()
-        level_data = []
-        for level in pyramid:
-            with tracer.span("smooth", level=level.level):
-                smoothed = self.frontend.smooth(level.image)
-            with tracer.span("detect", level=level.level):
-                xs, ys, scores = self._detect_level_candidates(level.image, level.level, profile)
-            level_data.append((level.level, smoothed, xs, ys, scores))
-        all_scores = np.concatenate([entry[4] for entry in level_data])
-        if all_scores.size == 0:
-            return []
-        level_ids = np.concatenate(
-            [np.full(entry[4].size, index, dtype=np.int64) for index, entry in enumerate(level_data)]
-        )
-        local_indices = np.concatenate(
-            [np.arange(entry[4].size, dtype=np.int64) for entry in level_data]
-        )
-        # global best-N filter: stable sort matches the streaming tie-breaking
-        order = np.argsort(-all_scores, kind="stable")
-        retained = order[: self.config.max_features]
-        # describe the retained candidates level by level (one batch each) and
-        # scatter the results back into score-rank order
-        by_rank: List[Optional[Feature]] = [None] * int(retained.size)
-        for index, (level, smoothed, xs, ys, scores) in enumerate(level_data):
-            member_ranks = np.nonzero(level_ids[retained] == index)[0]
-            if member_ranks.size == 0:
-                continue
-            selection = local_indices[retained[member_ranks]]
-            with tracer.span("describe", level=level):
                 batch = self.backend.describe(
-                    smoothed, xs[selection], ys[selection], scores[selection]
+                    smoothed, xs[local], ys[local], scores[local]
                 )
-            profile.descriptors_computed += batch.size
-            for row in range(batch.size):
-                rank = int(member_ranks[int(batch.kept[row])])
-                by_rank[rank] = self._feature_from_batch(batch, row, level)
-        return [feature for feature in by_rank if feature is not None]
+            rows = ranks[batch.kept]
+            arrays.descriptors[rows] = batch.descriptors
+            arrays.levels[rows] = level.level
+            arrays.xs[rows] = batch.xs
+            arrays.ys[rows] = batch.ys
+            arrays.scores[rows] = batch.scores
+            arrays.orientation_bins[rows] = batch.orientation_bins
+            arrays.orientation_rads[rows] = batch.orientation_rads
+            arrays.x0[rows] = batch.xs * level.scale
+            arrays.y0[rows] = batch.ys * level.scale
+            described[rows] = True
+        # a backend may drop a candidate whose patch does not fit (``kept``)
+        return arrays if described.all() else arrays.take(np.flatnonzero(described))
 
 
 def extract_features(image: GrayImage, config: ExtractorConfig | None = None) -> ExtractionResult:
     """Convenience one-shot feature extraction with a fresh extractor."""
     return OrbExtractor(config).extract(image)
-
-
-def check_workflow_equivalence(
-    image: GrayImage, config: ExtractorConfig | None = None
-) -> int:
-    """Return how many retained keypoint positions differ between workflows.
-
-    The rescheduled and original workflows must retain the same keypoints
-    (filtering depends only on Harris scores).  Descriptor values are
-    identical as well because description is a pure function of (image,
-    keypoint).  Returns the size of the symmetric difference of the retained
-    ``(level, x, y)`` sets; 0 means the workflows agree exactly.
-    """
-    cfg = config or ExtractorConfig()
-    rescheduled = OrbExtractor(replace(cfg, rescheduled_workflow=True)).extract(image)
-    original = OrbExtractor(replace(cfg, rescheduled_workflow=False)).extract(image)
-    keys_a = {(f.keypoint.level, f.keypoint.x, f.keypoint.y) for f in rescheduled.features}
-    keys_b = {(f.keypoint.level, f.keypoint.x, f.keypoint.y) for f in original.features}
-    return len(keys_a.symmetric_difference(keys_b))

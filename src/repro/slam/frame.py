@@ -93,10 +93,10 @@ class Frame:
 
     def feature_depth(self, feature_index: int) -> float:
         """Depth (metres) at the feature's level-0 pixel, 0 if invalid."""
-        if not 0 <= feature_index < len(self.features):
+        pixels = self.keypoint_pixels()
+        if not 0 <= feature_index < pixels.shape[0]:
             raise TrackingError(f"feature index {feature_index} out of range")
-        feature = self.features[feature_index]
-        x, y = int(round(feature.x0)), int(round(feature.y0))
+        x, y = (int(round(float(value))) for value in pixels[feature_index])
         if not (0 <= y < self.depth.shape[0] and 0 <= x < self.depth.shape[1]):
             return 0.0
         return float(self.depth[y, x])
@@ -126,6 +126,6 @@ class Frame:
         depth = self.feature_depth(feature_index)
         if depth <= 0:
             return None
-        feature = self.features[feature_index]
-        point_cam = self.camera.back_project(feature.x0, feature.y0, depth)
+        x0, y0 = (float(value) for value in self.keypoint_pixels()[feature_index])
+        point_cam = self.camera.back_project(x0, y0, depth)
         return self.pose.inverse().transform(point_cam)

@@ -1,5 +1,6 @@
 """Tests for the bounded score heap (the feature-filtering Heap module)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +86,32 @@ class TestEquivalenceWithSort:
         heap.extend(zip(scores, items))
         expected = top_k_by_score(zip(scores, items), capacity)
         assert heap.items_by_score() == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batches=st.lists(
+            # a few distinct values, so ties at the eviction threshold are common
+            st.lists(st.integers(min_value=0, max_value=9).map(float), max_size=40),
+            min_size=1,
+            max_size=5,
+        ),
+        capacity=st.integers(min_value=1, max_value=32),
+    )
+    def test_offer_batch_matches_scalar_offers(self, batches, capacity):
+        """Batched offers equal one scalar offer per item: items, order, stats."""
+        batched = BoundedScoreHeap(capacity=capacity)
+        scalar = BoundedScoreHeap(capacity=capacity)
+        start = 0
+        for batch in batches:
+            items = range(start, start + len(batch))
+            retained = batched.offer_batch(np.array(batch, dtype=np.float64), items)
+            assert retained == sum(scalar.offer(score, item) for score, item in zip(batch, items))
+            start += len(batch)
+        assert batched.items_by_score() == scalar.items_by_score()
+        assert batched.stats == scalar.stats
+        # the tie-break counter stays in step: a later scalar offer agrees too
+        assert batched.offer(5.0, -1) == scalar.offer(5.0, -1)
+        assert batched.items_by_score() == scalar.items_by_score()
 
     def test_top_k_rejects_bad_k(self):
         with pytest.raises(FeatureError):

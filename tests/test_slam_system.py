@@ -52,6 +52,42 @@ class TestFrame:
         assert point is None or point.shape == (3,)
 
 
+    def test_feature_geometry_reads_arrays(self, tiny_sequence, tiny_slam_config, monkeypatch):
+        from repro.features import FeatureArrays, OrbExtractor
+
+        rgbd = tiny_sequence[0]
+        frame = Frame(
+            index=0,
+            timestamp=0.0,
+            image=rgbd.image,
+            depth=rgbd.depth,
+            camera=tiny_sequence.camera,
+            pose=Pose(np.eye(3), np.array([0.1, -0.2, 0.3])),
+        )
+        frame.set_features(OrbExtractor(tiny_slam_config.extractor).extract(rgbd.image))
+        count = frame.feature_count
+        with monkeypatch.context() as patch:
+            patch.setattr(FeatureArrays, "build_features", _refuse_feature_objects)
+            depths = [frame.feature_depth(i) for i in range(count)]
+            points = [frame.back_project_feature(i) for i in range(count)]
+        # the same values through the per-feature objects
+        for feature, depth, point in zip(frame.features, depths, points):
+            x, y = int(round(feature.x0)), int(round(feature.y0))
+            assert depth == float(frame.depth[y, x])
+            if depth <= 0:
+                assert point is None
+                continue
+            expected = frame.pose.inverse().transform(
+                frame.camera.back_project(feature.x0, feature.y0, depth)
+            )
+            assert np.array_equal(point, expected)
+        assert any(depth > 0 for depth in depths)
+
+
+def _refuse_feature_objects(self):
+    raise AssertionError("Feature objects built for a single-feature lookup")
+
+
 class TestTrackerOnSequence:
     def test_first_frame_initialises_map(self, tiny_sequence, tiny_slam_config):
         tracker = Tracker(tiny_slam_config)
