@@ -15,8 +15,8 @@ extraction and the :class:`~repro.serving.FrameServer` multi-frame path, so
 the ``BENCH_*.json`` trajectory gets front-end and serving baselines.
 """
 
+import functools
 import json
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -31,16 +31,10 @@ from repro.frontend import create_engine
 from repro.image import gaussian_blur
 from repro.serving import FrameServer
 
-from conftest import print_section
+from conftest import best_of, print_section
 
 
-def _best_of(callable_, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
+_best_of = functools.partial(best_of, repeats=5)
 
 
 def _reference_stage_times(config, image):

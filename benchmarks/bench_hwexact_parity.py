@@ -19,7 +19,6 @@ stays at reduced size — it evaluates every window in Python).
 """
 
 import json
-import time
 from dataclasses import replace
 
 import pytest
@@ -34,16 +33,7 @@ from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor
 from repro.frontend import create_engine
 
-from conftest import print_section
-
-
-def _best_of(callable_, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
+from conftest import best_of, print_section
 
 
 def _stage_times(engine_name: str, config: ExtractorConfig, image):
@@ -56,10 +46,10 @@ def _stage_times(engine_name: str, config: ExtractorConfig, image):
     extractor = OrbExtractor(engine_config)
     extractor.extract(image)  # warm-up
     return {
-        "detect_s": _best_of(lambda: engine.detect_with_count(image)),
-        "smooth_s": _best_of(lambda: engine.smooth(image)),
-        "describe_s": _best_of(lambda: backend.describe(smoothed, xs, ys, scores)),
-        "extract_s": _best_of(lambda: extractor.extract(image)),
+        "detect_s": best_of(lambda: engine.detect_with_count(image)),
+        "smooth_s": best_of(lambda: engine.smooth(image)),
+        "describe_s": best_of(lambda: backend.describe(smoothed, xs, ys, scores)),
+        "extract_s": best_of(lambda: extractor.extract(image)),
         "keypoints": int(xs.size),
     }
 

@@ -13,16 +13,30 @@ from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor, fast_corner_mask, harris_response_map
 from repro.geometry import PinholeCamera, Pose
 from repro.dataset import wall_scene
+from repro.frontend import create_engine
 from repro.image import random_blocks
 from repro.matching import hamming_distance_matrix
 
-from conftest import print_section
+from conftest import best_of, print_section
 
 
-def test_kernel_fast_detection(benchmark, small_image):
-    mask = benchmark(fast_corner_mask, small_image)
-    print_section("Kernel: FAST detection (320x240)")
-    print(f"  corners detected: {int(mask.sum())}")
+@pytest.mark.parametrize("shape", [(240, 320), (480, 640)], ids=["320x240", "640x480"])
+def test_kernel_fast_detection(benchmark, shape):
+    """The default engine's detect pass, timed beside the dense reference mask."""
+    height, width = shape
+    image = random_blocks(height, width, block=12, seed=4)
+    config = ExtractorConfig(image_width=width, image_height=height)
+    engine = create_engine("vectorized", config)
+    _, _, _, corners = benchmark(engine.detect_with_count, image)
+    mask = fast_corner_mask(image, config.fast)
+    engine_ms = best_of(lambda: engine.detect_with_count(image)) * 1e3
+    reference_ms = best_of(lambda: fast_corner_mask(image, config.fast)) * 1e3
+    print_section(f"Kernel: FAST detection ({width}x{height})")
+    print(f"  vectorized detect_with_count: {engine_ms:7.1f} ms, "
+          f"{corners} FAST corners (before NMS)")
+    print(f"  reference fast_corner_mask:   {reference_ms:7.1f} ms, "
+          f"{int(mask.sum())} FAST corners")
+    assert corners == int(mask.sum())
     assert mask.sum() > 100
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -23,6 +24,16 @@ def print_section(title: str) -> None:
     print("\n" + "=" * 72)
     print(title)
     print("=" * 72)
+
+
+def best_of(callable_, repeats: int = 3) -> float:
+    """Fastest of ``repeats`` timed calls, in seconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        callable_()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def write_report_file(name: str, report: dict) -> None:

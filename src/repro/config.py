@@ -48,8 +48,8 @@ class FastConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.arc_length <= 16:
             raise ValueError("arc_length must be in [1, 16]")
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
+        if not 0 <= self.threshold <= 255:
+            raise ValueError("threshold must be in [0, 255]")
 
 
 @dataclass(frozen=True)

@@ -76,36 +76,6 @@ def segment_arc_lut(arc_length: int) -> np.ndarray:
     return has_arc
 
 
-#: Indices of the four compass points (top, right, bottom, left) on the ring.
-FAST_CARDINAL_POSITIONS: Tuple[int, int, int, int] = (0, 4, 8, 12)
-
-
-@lru_cache(maxsize=None)
-def cardinal_prefilter_lut(arc_length: int) -> np.ndarray:
-    """16-entry necessary-condition LUT over the four compass-point flags.
-
-    Entry ``p`` (bit ``j`` = flag at :data:`FAST_CARDINAL_POSITIONS`\\ ``[j]``)
-    is True iff *some* full ring mask with exactly those compass flags passes
-    the segment test.  Because the arc test is monotone in set bits, that is
-    the mask with every non-compass bit set — so a False entry proves no
-    pixel with that compass pattern can be a corner, and the full 16-pixel
-    test only needs to run on the (typically few percent of) pixels whose
-    brighter or darker compass pattern survives.  This mirrors the classic
-    FAST high-speed test, generalised to any ``arc_length`` via
-    :func:`segment_arc_lut`.
-    """
-    arc = segment_arc_lut(arc_length)
-    quick = np.zeros(16, dtype=bool)
-    for pattern in range(16):
-        mask = 0xFFFF
-        for bit, position in enumerate(FAST_CARDINAL_POSITIONS):
-            if not (pattern >> bit) & 1:
-                mask &= ~(1 << position)
-        quick[pattern] = bool(arc[mask])
-    quick.setflags(write=False)
-    return quick
-
-
 def fast_corner_mask(image: GrayImage, config: FastConfig | None = None) -> np.ndarray:
     """Return a boolean mask of FAST corner responses for the whole image.
 

@@ -79,17 +79,17 @@ def harris_scores_sparse(
     """Harris responses gathered only at ``(xs, ys)``, bit-identical to the map.
 
     Avoids materialising the dense response: Sobel gradients and their
-    products are computed once in integer arithmetic, summed into int64
-    integral images, and the ``window x window`` box sums are gathered with
-    four reads per point.  This is exact — every value the float64 reference
-    pipeline produces up to the box sums is an integer far below 2**53
-    (|gradient| <= 4*255, so products < 2**21 and whole-image integrals
-    < 2**40), so its cumsums never round and the int64 path lands on the
-    same numbers.  The final ``det - k*trace**2`` is then evaluated with the
-    reference's float64 expression, making the result bit-identical to
-    ``harris_response_map(image)[ys, xs]``.
+    products are computed once in integer arithmetic, summed into int32 or
+    int64 row-prefix sums, and the ``window x window`` box sums are gathered
+    with one flat read per window row at each point.  This is exact — every
+    value the float64 reference pipeline produces up to the box sums is an
+    integer far below 2**53 (|gradient| <= 4*255, so products < 2**21 and
+    whole-image integrals < 2**40), so its cumsums never round and the
+    integer path lands on the same numbers.  The final ``det - k*trace**2``
+    is then evaluated with the reference's float64 expression, making the
+    result bit-identical to ``harris_response_map(image)[ys, xs]``.
 
-    ``workspace`` optionally recycles the padded/integral buffers across
+    ``workspace`` optionally recycles the padded/prefix buffers across
     calls (see :mod:`repro.image.scratch`).
     """
     if block_radius < 1:
@@ -161,7 +161,8 @@ def harris_scores_sparse(
     np.cumsum(products, axis=2, out=prefix[:, :, 1:])
     # horizontal window sums for every output column (dense subtract of two
     # prefix views), then the vertical accumulation is paid only at the K
-    # requested points: one (K, window) gather per channel
+    # requested points: one flat K-gather per window row and channel, summed
+    # in place in int64 (integer sums are exact in any order)
     spans = workspace_array(
         workspace, f"harris_spans_{dtype_tag}", (3, pad_shape[0], width), prefix_dtype
     )
@@ -172,12 +173,16 @@ def harris_scores_sparse(
     stride = parent.shape[2]
     plane = parent.shape[1] * stride
     flat = parent.reshape(-1)
-    gather = (ys[:, None] + np.arange(window, dtype=np.int64)[None, :]) * stride + xs[
-        :, None
-    ]
+    top_row = ys * stride + xs
     sums = np.empty((3, xs.size), dtype=np.float64)
+    total = np.empty(xs.size, dtype=np.int64)
     for channel in range(3):
-        sums[channel] = np.take(flat, gather + channel * plane).sum(axis=1)
+        rows = top_row + channel * plane
+        total[:] = np.take(flat, rows)
+        for _ in range(1, window):
+            rows += stride
+            total += np.take(flat, rows)
+        sums[channel] = total
     sxx, syy, sxy = sums[0], sums[1], sums[2]
     det = sxx * syy - sxy * sxy
     trace = sxx + syy

@@ -102,8 +102,9 @@ def suppress_keypoints_sparse(
 
     1. a corner survives stage 1 iff its score is >= every corner score in
        its ``(2*radius+1)`` window (computed by scattering scores into a
-       padded grid and gathering the window neighbours per corner — no
-       ``np.roll`` full-image copies, no ``np.full(-inf)`` temporaries);
+       padded grid and taking a running ``np.maximum`` over one flat gather
+       per window offset — no ``np.roll`` full-image copies, no
+       ``np.full(-inf)`` temporaries);
     2. any two stage-1 survivors within each other's window necessarily tie
        (each one's window max bounds the other's score), so the dense path's
        per-survivor tie-break loop is exactly a greedy raster-order maximal
@@ -152,22 +153,28 @@ def suppress_keypoints_sparse(
     flat_ids, id_stride = _flat_grid(id_grid)
     if not (stride == flag_stride == id_stride):  # pragma: no cover - defensive
         raise FeatureError("workspace NMS grids must share one allocation shape")
-    # one flat neighbour-index matrix drives every scatter/gather below
+    # one flat gather per window offset, reduced in place
     base = (sy + radius) * stride + (sx + radius)
-    neighbour_index = base[:, None] + (dys * stride + dxs)[None, :]
+    offsets = dys * stride + dxs
     # stage 1: score >= max over window neighbours
     flat_scores[base] = ss
-    keep = ss >= np.take(flat_scores, neighbour_index).max(axis=1)
+    window_max = np.take(flat_scores, base + offsets[0])
+    for offset in offsets[1:]:
+        np.maximum(window_max, np.take(flat_scores, base + offset), out=window_max)
+    keep = ss >= window_max
     flat_scores[base] = -np.inf  # restore the fill invariant
     # conflict detection: survivors with another survivor in their window
     survivors = np.nonzero(keep)[0]
-    flat_flags[base[survivors]] = True
-    conflicted = np.take(flat_flags, neighbour_index[survivors]).any(axis=1)
-    flat_flags[base[survivors]] = False
+    survivor_base = base[survivors]
+    flat_flags[survivor_base] = True
+    conflicted = np.zeros(survivors.size, dtype=bool)
+    for offset in offsets:
+        conflicted |= np.take(flat_flags, survivor_base + offset)
+    flat_flags[survivor_base] = False
     if conflicted.any():
-        clashed = survivors[conflicted]
-        keep[clashed] = _greedy_raster_independent_set(
-            flat_ids, base[clashed], neighbour_index[clashed], dys, dxs
+        clashed = survivor_base[conflicted]
+        keep[survivors[conflicted]] = _greedy_raster_independent_set(
+            flat_ids, clashed, clashed[:, None] + offsets[None, :], dys, dxs
         )
     if order is None:
         return keep

@@ -6,7 +6,7 @@ pluggable **detection engine**, mirroring the keypoint compute backend layer
 (:mod:`repro.backends`).  An engine is constructed once from an
 :class:`~repro.config.ExtractorConfig`, owns its precomputed tables (the
 segment-test arc lookup table, Gaussian kernel, per-frame scratch buffers)
-and then serves any number of pyramid levels and frames.  Two
+and then serves any number of pyramid levels and frames.  Three
 implementations are registered:
 
 * ``reference`` -- composes the original per-stage functions
@@ -15,10 +15,11 @@ implementations are registered:
   :func:`repro.features.nms.non_maximum_suppression`,
   :func:`repro.image.filters.gaussian_blur`), kept as bit-exact ground
   truth (:mod:`repro.frontend.reference`);
-* ``vectorized`` -- the fused default: padded-slice ring comparisons packed
-  into uint16 bitmasks resolved by a 65536-entry arc LUT, Harris responses
-  gathered sparsely at FAST corners from integer integral images, loop-free
-  NMS and a slice-view Gaussian smoother reusing per-frame scratch buffers
+* ``vectorized`` -- the fused default: one dense uint8 pass of padded-slice
+  ring comparisons against saturated thresholds, shifted into uint16
+  bitmasks resolved by a 65536-entry arc LUT; Harris responses summed at
+  FAST corners only from integer row-prefix sums; loop-free NMS; and a
+  slice-view Gaussian smoother reusing per-frame scratch buffers
   (:mod:`repro.frontend.vectorized`);
 * ``hwexact`` -- the fixed-point datapath of the FPGA model: integer
   windowed Harris accumulators and the 8-bit quantized Gaussian smoother,

@@ -3,18 +3,21 @@
 One pass per pyramid level with no full-image temporaries beyond a handful
 of reused scratch buffers:
 
-1. **FAST**: the 16 Bresenham-ring comparisons are evaluated on padded-slice
-   views of the image (no ``np.roll`` copies), packed into two uint16
-   bitmasks (brighter/darker), and the contiguous-arc test is resolved by
-   one gather from the precomputed 65536-entry
+1. **FAST**: one dense uint8 pass.  The 16 Bresenham-ring comparisons run
+   on padded-slice views of the image (no ``np.roll`` copies) against
+   saturated uint8 thresholds, are shifted into two uint16 bitmasks
+   (brighter/darker), and the contiguous-arc test is resolved by one gather
+   from the precomputed 65536-entry
    :func:`~repro.features.fast.segment_arc_lut` — exactly the combinational
    7x7-window check the hardware FAST Detection module performs.
 2. **Harris**: responses are computed **sparsely** — integer Sobel products
-   summed into int64 integral images, box sums gathered with four reads per
-   FAST corner (:func:`~repro.features.harris.harris_scores_sparse`) —
+   row-prefix summed into horizontal window sums over the level, then the
+   vertical window sum gathered only at the FAST corners with one flat read
+   per window row (:func:`~repro.features.harris.harris_scores_sparse`) —
    instead of scoring every pixel of the level.
-3. **NMS**: sparse, loop-free suppression with vectorised raster-order
-   tie-breaking (:func:`~repro.features.nms.suppress_keypoints_sparse`).
+3. **NMS**: sparse, loop-free suppression with one flat gather per window
+   offset and vectorised raster-order tie-breaking
+   (:func:`~repro.features.nms.suppress_keypoints_sparse`).
 4. **Smoothing**: the separable 7x7 Gaussian runs on slice views of one
    edge-padded scratch buffer (no per-tap ``np.roll`` copies).
 
@@ -32,13 +35,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..features.fast import (
-    FAST_CARDINAL_POSITIONS,
-    FAST_CIRCLE_OFFSETS,
-    cardinal_prefilter_lut,
-    fast_corner_mask,
-    segment_arc_lut,
-)
+from ..features.fast import FAST_CIRCLE_OFFSETS, fast_corner_mask, segment_arc_lut
 from ..features.harris import harris_scores_sparse
 from ..features.nms import suppress_keypoints_sparse
 from ..image import GrayImage
@@ -50,13 +47,6 @@ from ..image.filters import (
 from ..image.scratch import Workspace, edge_pad_into, workspace_array
 from .base import DetectionEngine, register_engine
 
-def _pack_ring_bits(flags: np.ndarray) -> np.ndarray:
-    """Pack ``(16, K)`` ring flags into uint16 bitmasks (bit i = row i)."""
-    masks = np.zeros(flags.shape[1], dtype=np.uint16)
-    for index in range(16):
-        np.bitwise_or(masks, np.uint16(1 << index), out=masks, where=flags[index])
-    return masks
-
 
 @register_engine("vectorized")
 class VectorizedEngine(DetectionEngine):
@@ -65,7 +55,6 @@ class VectorizedEngine(DetectionEngine):
     def __init__(self, config) -> None:
         super().__init__(config)
         self._arc_lut = segment_arc_lut(config.fast.arc_length)
-        self._cardinal_lut = cardinal_prefilter_lut(config.fast.arc_length)
         self._kernel = gaussian_kernel_1d(GAUSSIAN_BLUR_SIZE, GAUSSIAN_BLUR_SIGMA)
         self._local = threading.local()
 
@@ -95,20 +84,18 @@ class VectorizedEngine(DetectionEngine):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """FAST corners inside the border box, raster order, via the arc LUT.
 
-        Two-stage: the dense pass evaluates only the four compass-point
-        comparisons and rejects pixels whose 4-bit pattern cannot support a
-        contiguous arc (:func:`cardinal_prefilter_lut`); the full 16-pixel
-        ring is then gathered and tested sparsely at the few surviving
-        candidates.  When the prefilter rejects too little (pathologically
-        corner-dense images) the dense 16-comparison path runs instead —
-        both stages decide every pixel with the exact reference comparisons.
+        One dense uint8 pass: the thresholds saturate to uint8 as
+        ``min(c, 255 - t) + t`` and ``max(c, t) - t``, which is exact because
+        a uint8 ring value can never exceed a saturated 255 or undercut a
+        saturated 0 (the reference compares in int16 without saturating).
+        Each ring comparison is shifted into bit ``i`` of a uint16
+        brighter/darker mask, and :func:`segment_arc_lut` resolves both.
         """
         cfg = self.config.fast
         height, width = image.shape
         border = cfg.border
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         if height < 2 * border + 1 or width < 2 * border + 1:
-            return empty
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         if border < 3:
             # the rolled reference lets ring comparisons wrap around inside a
             # <3px border; keep those exact semantics via the dense path
@@ -116,73 +103,17 @@ class VectorizedEngine(DetectionEngine):
             return xs.astype(np.int64), ys.astype(np.int64)
         pixels = image.pixels
         inner = (height - 2 * border, width - 2 * border)
-        centre = workspace_array(workspace, "fast_centre", inner, np.int16)
-        np.copyto(centre, pixels[border : height - border, border : width - border])
-        high = workspace_array(workspace, "fast_high", inner, np.int16)
-        low = workspace_array(workspace, "fast_low", inner, np.int16)
-        np.add(centre, cfg.threshold, out=high)
-        np.subtract(centre, cfg.threshold, out=low)
+        centre = pixels[border : height - border, border : width - border]
+        threshold = np.uint8(cfg.threshold)
+        high = workspace_array(workspace, "fast_high", inner, np.uint8)
+        low = workspace_array(workspace, "fast_low", inner, np.uint8)
+        np.minimum(centre, np.uint8(255 - cfg.threshold), out=high)
+        high += threshold
+        np.maximum(centre, threshold, out=low)
+        low -= threshold
         flags = workspace_array(workspace, "fast_flags", inner, bool)
-        # stage 1: compass-point patterns, 4 ring positions instead of 16
-        bright4 = workspace_array(workspace, "fast_bright4", inner, np.uint8)
-        dark4 = workspace_array(workspace, "fast_dark4", inner, np.uint8)
-        bright4[:] = 0
-        dark4[:] = 0
-        for bit, position in enumerate(FAST_CARDINAL_POSITIONS):
-            dx, dy = FAST_CIRCLE_OFFSETS[position]
-            ring = pixels[
-                border + dy : height - border + dy, border + dx : width - border + dx
-            ]
-            pattern_bit = np.uint8(1 << bit)
-            np.greater(ring, high, out=flags)
-            np.bitwise_or(bright4, pattern_bit, out=bright4, where=flags)
-            np.less(ring, low, out=flags)
-            np.bitwise_or(dark4, pattern_bit, out=dark4, where=flags)
-        candidates = workspace_array(workspace, "fast_candidates", inner, bool)
-        np.take(self._cardinal_lut, bright4, out=candidates)
-        np.take(self._cardinal_lut, dark4, out=flags)
-        candidates |= flags
-        cand_ys, cand_xs = np.nonzero(candidates)
-        if cand_xs.size == 0:
-            return empty
-        if cand_xs.size * 4 > candidates.size:
-            return self._fast_corners_dense(image, workspace, high, low, flags)
-        # stage 2: full ring test, gathered only at the candidates.  The ring
-        # is laid out (16, K) so comparisons and bit packing broadcast along
-        # the contiguous candidate axis.
-        xs = cand_xs + border
-        ys = cand_ys + border
-        flat = pixels.reshape(-1)
-        base = ys * width + xs
-        ring_offsets = np.array(
-            [dy * width + dx for dx, dy in FAST_CIRCLE_OFFSETS], dtype=np.int64
-        )
-        ring = np.take(flat, ring_offsets[:, None] + base[None, :])
-        centre_values = np.take(flat, base).astype(np.int16)
-        # saturating uint8 thresholds are exact: a uint8 ring value can never
-        # exceed a clipped-high 255 or undercut a clipped-low 0, matching the
-        # int16 comparisons of the reference for out-of-range thresholds
-        ring_high = np.minimum(centre_values + cfg.threshold, 255).astype(np.uint8)
-        ring_low = np.maximum(centre_values - cfg.threshold, 0).astype(np.uint8)
-        bright_mask = _pack_ring_bits(ring > ring_high[None, :])
-        dark_mask = _pack_ring_bits(ring < ring_low[None, :])
-        is_corner = self._arc_lut[bright_mask] | self._arc_lut[dark_mask]
-        return xs[is_corner], ys[is_corner]
-
-    def _fast_corners_dense(
-        self,
-        image: GrayImage,
-        workspace: Workspace,
-        high: np.ndarray,
-        low: np.ndarray,
-        flags: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense 16-comparison fallback for images full of candidates."""
-        cfg = self.config.fast
-        height, width = image.shape
-        border = cfg.border
-        pixels = image.pixels
-        inner = (height - 2 * border, width - 2 * border)
+        bits = flags.view(np.uint8)
+        shifted = workspace_array(workspace, "fast_shifted", inner, np.uint16)
         brighter = workspace_array(workspace, "fast_brighter", inner, np.uint16)
         darker = workspace_array(workspace, "fast_darker", inner, np.uint16)
         brighter[:] = 0
@@ -191,11 +122,13 @@ class VectorizedEngine(DetectionEngine):
             ring = pixels[
                 border + dy : height - border + dy, border + dx : width - border + dx
             ]
-            bit = np.uint16(1 << index)
+            shift = np.uint16(index)
             np.greater(ring, high, out=flags)
-            np.bitwise_or(brighter, bit, out=brighter, where=flags)
+            np.left_shift(bits, shift, out=shifted)
+            brighter |= shifted
             np.less(ring, low, out=flags)
-            np.bitwise_or(darker, bit, out=darker, where=flags)
+            np.left_shift(bits, shift, out=shifted)
+            darker |= shifted
         corners = workspace_array(workspace, "fast_corners", inner, bool)
         np.take(self._arc_lut, brighter, out=corners)
         np.take(self._arc_lut, darker, out=flags)

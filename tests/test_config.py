@@ -48,6 +48,13 @@ class TestFastConfig:
         with pytest.raises(ValueError):
             FastConfig(threshold=-1)
 
+    def test_threshold_bounded_by_uint8_range(self):
+        # a larger threshold can never pass the segment test on uint8 pixels
+        assert FastConfig(threshold=255).threshold == 255
+        for threshold in (256, 1000, 40000):
+            with pytest.raises(ValueError):
+                FastConfig(threshold=threshold)
+
 
 class TestDescriptorConfig:
     def test_default_is_256_bit_32_fold(self):

@@ -10,6 +10,8 @@ for both workflow orders — on randomized synthetic images.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ExtractorConfig, FastConfig, PyramidConfig
 from repro.errors import FeatureError
@@ -25,7 +27,6 @@ from repro.features import (
     segment_arc_lut,
     suppress_keypoints_sparse,
 )
-from repro.features.fast import FAST_CARDINAL_POSITIONS, cardinal_prefilter_lut
 from repro.frontend import (
     ReferenceEngine,
     VectorizedEngine,
@@ -102,16 +103,6 @@ class TestArcLut:
         with pytest.raises(FeatureError):
             segment_arc_lut(17)
 
-    def test_cardinal_prefilter_is_necessary(self):
-        # every mask that passes the arc test must pass the compass prefilter
-        arc = segment_arc_lut(9)
-        quick = cardinal_prefilter_lut(9)
-        masks = np.arange(1 << 16)
-        patterns = np.zeros(1 << 16, dtype=np.int64)
-        for bit, position in enumerate(FAST_CARDINAL_POSITIONS):
-            patterns |= ((masks >> position) & 1) << bit
-        assert bool(np.all(~arc | quick[patterns]))
-
 
 class TestFastParity:
     @pytest.mark.parametrize("seed", [1, 2, 5])
@@ -126,8 +117,8 @@ class TestFastParity:
         assert np.array_equal(xs, ref_xs)
         assert np.array_equal(ys, ref_ys)
 
-    def test_dense_fallback_matches(self):
-        # a noisy image pushes the candidate ratio over the dense-path switch
+    def test_noisy_threshold_one_matches(self):
+        # nearly every pixel of a noisy image at threshold 1 has a ring flag
         rng = np.random.default_rng(3)
         image = GrayImage(rng.integers(0, 256, (96, 128), dtype=np.uint8))
         config = ExtractorConfig(fast=FastConfig(threshold=1))
@@ -136,6 +127,44 @@ class TestFastParity:
         ref_ys, ref_xs = np.nonzero(fast_corner_mask(image, config.fast))
         assert np.array_equal(xs, ref_xs)
         assert np.array_equal(ys, ref_ys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(7, 61), st.integers(7, 75)),
+        seed=st.integers(0, 2**32 - 1),
+        saturated_blocks=st.integers(0, 4),
+        threshold=st.one_of(st.sampled_from([0, 254, 255]), st.integers(0, 255)),
+        arc_length=st.integers(1, 16),
+        border=st.sampled_from([3, 4, 16]),
+    )
+    def test_one_pass_matches_reference(
+        self, shape, seed, saturated_blocks, threshold, arc_length, border
+    ):
+        # random pixels plus blocks saturated at 0 and 255, so the saturated
+        # uint8 thresholds meet ring values at both ends of the range
+        rng = np.random.default_rng(seed)
+        height, width = shape
+        pixels = rng.integers(0, 256, shape, dtype=np.uint8)
+        for _ in range(saturated_blocks):
+            y0, x0 = rng.integers(0, height), rng.integers(0, width)
+            y1 = y0 + rng.integers(1, height + 1)
+            x1 = x0 + rng.integers(1, width + 1)
+            pixels[y0:y1, x0:x1] = rng.choice([0, 255])
+        image = GrayImage(pixels)
+        config = ExtractorConfig(
+            fast=FastConfig(threshold=threshold, arc_length=arc_length, border=border)
+        )
+        vectorized = VectorizedEngine(config)
+        xs, ys = vectorized._fast_corners(image, vectorized._workspace())
+        ref_ys, ref_xs = np.nonzero(fast_corner_mask(image, config.fast))
+        assert np.array_equal(xs, ref_xs)
+        assert np.array_equal(ys, ref_ys)
+        ref = ReferenceEngine(config).detect_with_count(image)
+        vec = vectorized.detect_with_count(image)
+        assert ref[3] == vec[3] == ref_xs.size
+        assert np.array_equal(ref[0], vec[0])
+        assert np.array_equal(ref[1], vec[1])
+        assert ref[2].tobytes() == vec[2].tobytes()
 
     def test_checkerboard_and_flat_images(self):
         config = ExtractorConfig()
